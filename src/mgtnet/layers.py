@@ -16,7 +16,6 @@ from .linalg import Tensor
 
 __all__ = [
     "ConfigurationError",
-    "GConvLayer",
     "MultiHopGConvLayer",
     "HighOrderGConvLayer",
     "LamGConvLayer",
@@ -55,46 +54,6 @@ def _as_square_constant(adjacency: np.ndarray) -> Tensor:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigurationError(f"adjacency must be square, got shape {mat.shape}")
     return Tensor(mat.copy())
-
-
-class GConvLayer:
-    """Plain graph convolution: activation(A @ H @ W + b) with frozen A."""
-
-    def __init__(
-        self,
-        adjacency: np.ndarray,
-        f_in: int,
-        f_out: int,
-        rng: np.random.Generator,
-        bias: bool = True,
-        activation: str = "relu",
-    ):
-        self.adjacency = _as_square_constant(adjacency)
-        self.f_in = int(f_in)
-        self.f_out = int(f_out)
-        self.activation = _check_activation(activation)
-        self.weight = Tensor(glorot(rng, f_in, f_out, (f_in, f_out)), requires_grad=True)
-        self.bias = Tensor(np.zeros(f_out), requires_grad=True) if bias else None
-
-    def __call__(self, h: Tensor) -> Tensor:
-        self._check_input(h)
-        out = la.matmul(la.matmul(self.adjacency, h), self.weight)
-        if self.bias is not None:
-            out = la.add(out, self.bias)
-        return _apply_activation(out, self.activation)
-
-    def _check_input(self, h: Tensor) -> None:
-        n = self.adjacency.shape[0]
-        if h.ndim != 2 or h.shape[0] != n or h.shape[1] != self.f_in:
-            raise la.ShapeError(
-                f"graph conv expects input of shape ({n}, {self.f_in}), got {h.shape}"
-            )
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        named = [("w", self.weight)]
-        if self.bias is not None:
-            named.append(("b", self.bias))
-        return named
 
 
 class MultiHopGConvLayer:
@@ -300,20 +259,7 @@ class DilatedConvLayer:
         self.kernel = Tensor(glorot(rng, taps * taps, taps * taps, (taps, taps)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise la.ShapeError(f"dilated conv expects a 2-d grid, got {x.shape}")
-        m, d = self.half_width, self.dilation
-        rows, cols = x.shape
-        pad = d * m
-        padded = la.pad2d(x, pad)
-        out = None
-        for r in range(-m, m + 1):
-            for s in range(-m, m + 1):
-                tap = padded[pad + d * r : pad + d * r + rows, pad + d * s : pad + d * s + cols]
-                w = self.kernel[r + m : r + m + 1, s + m : s + m + 1]
-                term = la.mul(tap, w)
-                out = term if out is None else la.add(out, term)
-        return out
+        return la.dilated_conv2d(x, self.kernel, self.dilation)
 
     @property
     def span(self) -> int:

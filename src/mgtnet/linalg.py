@@ -27,8 +27,6 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "shift",
-    "neg",
     "relu",
     "absolute",
     "concat",
@@ -36,13 +34,11 @@ __all__ = [
     "reshape",
     "permute",
     "transpose",
-    "pad2d",
-    "take_slice",
     "dropout",
     "tensor_sum",
-    "tensor_mean",
     "softmax_rows",
     "layer_norm",
+    "dilated_conv2d",
     "grad_check",
     "grad_check_params",
     "zero_grads",
@@ -108,10 +104,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
@@ -123,51 +115,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # operator sugar; scalars route to scale/shift so no constant tensors
-    # enter the tape
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return shift(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, index):
-        return take_slice(self, index)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def sum(self, axis=None) -> "Tensor":
-        return tensor_sum(self, axis)
-
-    def mean(self, axis=None) -> "Tensor":
-        return tensor_mean(self, axis)
 
 
 def as_tensor(value) -> Tensor:
@@ -332,24 +279,6 @@ def scale(a, factor: float) -> Tensor:
     return _emit(a.data * factor, (a,), rule, "scale")
 
 
-def shift(a, offset: float) -> Tensor:
-    a = as_tensor(a)
-
-    def rule(g):
-        return (g,)
-
-    return _emit(a.data + float(offset), (a,), rule, "shift")
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def rule(g):
-        return (-g,)
-
-    return _emit(-a.data, (a,), rule, "neg")
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
@@ -460,43 +389,6 @@ def transpose(a) -> Tensor:
     return permute(a, (1, 0))
 
 
-def pad2d(a, pad: int) -> Tensor:
-    """Zero-pad a 2-d tensor by ``pad`` on every side."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"pad2d needs a 2-d tensor, got {a.shape}")
-    pad = int(pad)
-    if pad < 0:
-        raise ShapeError("pad2d needs pad >= 0")
-    if pad == 0:
-        return a
-    n, m = a.shape
-
-    def rule(g):
-        return (g[pad : pad + n, pad : pad + m],)
-
-    return _emit(np.pad(a.data, pad), (a,), rule, "pad2d")
-
-
-def take_slice(a, index) -> Tensor:
-    """Basic slicing (ints and slices only); gradient scatters back."""
-    a = as_tensor(a)
-    if not isinstance(index, tuple):
-        index = (index,)
-    for part in index:
-        if not isinstance(part, (int, np.integer, slice)):
-            raise ShapeError(f"slicing supports ints and slices only, got {part!r}")
-    in_shape = a.shape
-    data = a.data[index]
-
-    def rule(g):
-        full = np.zeros(in_shape)
-        full[index] = g
-        return (full,)
-
-    return _emit(data.copy(), (a,), rule, "slice")
-
-
 def dropout(a, p: float, rng: np.random.Generator | None = None, train: bool = True) -> Tensor:
     """Inverted dropout; identity when ``train`` is false or ``p`` is zero."""
     a = as_tensor(a)
@@ -531,23 +423,6 @@ def tensor_sum(a, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), in_shape).copy(),)
 
     return _emit(a.data.sum(axis=axis), (a,), rule, "sum")
-
-
-def tensor_mean(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    in_shape = a.shape
-    if axis is not None:
-        axis = int(axis)
-    count = a.size if axis is None else in_shape[axis]
-    if count == 0:
-        raise ShapeError("mean over an empty axis")
-
-    def rule(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, in_shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g / count, axis), in_shape).copy(),)
-
-    return _emit(a.data.mean(axis=axis), (a,), rule, "mean")
 
 
 def softmax_rows(a) -> Tensor:
@@ -604,6 +479,54 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _emit(out, (a, gain, bias), rule, "layer_norm")
 
 
+def dilated_conv2d(a, kernel, dilation: int) -> Tensor:
+    """Zero-padded 2-d convolution of a grid with a square, odd, dilated kernel.
+
+    The output has the input's shape.  Tap (r, s) of a (2m+1) x (2m+1)
+    kernel reads the grid at offset (dilation * (r - m), dilation * (s - m));
+    cells beyond the edge read zero.  The forward pass sums
+    ``kernel[r, s] * view`` over the taps in row-major order, each view a
+    shifted window of the padded grid, and the backward pass correlates the
+    output gradient with the same views.  The backward pass visits the taps in
+    reverse, the order a reverse sweep over that sum takes; the order of the
+    input-gradient sum sets its last bits.
+    """
+    a, kernel = as_tensor(a), as_tensor(kernel)
+    if a.ndim != 2:
+        raise ShapeError(f"dilated_conv2d needs a 2-d grid, got {a.shape}")
+    taps = kernel.shape[0]
+    if kernel.ndim != 2 or kernel.shape[1] != taps or taps % 2 == 0:
+        raise ShapeError(f"dilated_conv2d needs a square kernel of odd size, got {kernel.shape}")
+    dilation = int(dilation)
+    if dilation < 1:
+        raise ShapeError(f"dilated_conv2d needs dilation >= 1, got {dilation}")
+    rows, cols = a.shape
+    pad = dilation * (taps // 2)
+    padded = np.pad(a.data, pad)
+    k = kernel.data
+    windows = [
+        (r, s, np.s_[dilation * r : dilation * r + rows, dilation * s : dilation * s + cols])
+        for r in range(taps)
+        for s in range(taps)
+    ]
+    out = np.zeros_like(a.data)
+    for r, s, window in windows:
+        out += k[r, s] * padded[window]
+
+    def rule(g):
+        d_padded = np.zeros_like(padded) if a.requires_grad else None
+        d_kernel = np.empty_like(k) if kernel.requires_grad else None
+        for r, s, window in reversed(windows):
+            if d_padded is not None:
+                d_padded[window] += g * k[r, s]
+            if d_kernel is not None:
+                d_kernel[r, s] = (g * padded[window]).sum(axis=(0, 1))
+        d_a = d_padded[pad : pad + rows, pad : pad + cols] if d_padded is not None else None
+        return (d_a, d_kernel)
+
+    return _emit(out, (a, kernel), rule, "dilated_conv2d")
+
+
 # ---------------------------------------------------------------------------
 # gradient checking
 
@@ -656,21 +579,7 @@ def grad_check(f, x: Tensor, step: float = 1e-5, tol: float = 1e-5) -> GradCheck
     """
     if not isinstance(x, Tensor) or not x.requires_grad:
         raise ContractError("grad_check needs a requires-grad tensor")
-    with Tape() as tape:
-        y = f(x)
-    if y.size != 1:
-        raise ContractError(f"grad_check needs a scalar-valued f, got shape {y.shape}")
-    if not np.isfinite(y.data).all():
-        raise EvaluationError("f(x) is not finite")
-    x.grad = None
-    tape.backward(y)
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-    x.grad = None
-    numeric = _central_difference(lambda: f(x).item(), x, step)
-    rel = _relative_errors(analytic, numeric)
-    worst = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.size else ()
-    worst_val = float(rel[worst]) if rel.size else 0.0
-    return GradCheckReport(worst_val, tuple(int(i) for i in worst), tol)
+    return grad_check_params(lambda: f(x), [("x", x)], step, tol)["x"]
 
 
 def grad_check_params(loss_fn, params, step: float = 1e-5, tol: float = 1e-5):

@@ -1,7 +1,8 @@
 """The lifting network: embedding, stacked blocks, output head, checkpoints.
 
 A forward pass maps one sample of per-joint 2D trajectories (N x 2 x T) to a
-root-relative 3D pose (N x 3).  The stack alternates attention blocks and
+3D pose (N x 3).  The net is trained toward root-relative targets; nothing
+pins its root joint to the origin.  The stack alternates attention blocks and
 multi-hop convolution blocks, each wrapped in a skip connection; depth,
 width, heads, and hop order all come from ``ModelConfig``.
 """
@@ -202,7 +203,11 @@ class MgtNet:
         self.head = _make_gconv(config, graph_mats, config.hidden, 3, rng, "identity")
 
     def forward(self, sample, train: bool = False, rng=None) -> Tensor:
-        """Lift one sample of shape (N, 2, T) to a root-relative (N, 3) pose."""
+        """Lift one sample of shape (N, 2, T) to an (N, 3) pose.
+
+        Training fits the output to root-relative targets, but the root joint
+        is not pinned to the origin.
+        """
         x = sample if isinstance(sample, Tensor) else Tensor(sample)
         cfg = self.config
         if x.shape != (cfg.n_joints, 2, cfg.frames):

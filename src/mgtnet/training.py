@@ -8,7 +8,7 @@ alpha = 1 pure absolute loss.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -268,17 +268,7 @@ def train(
 
     if checkpoint_path is not None:
         extra = {
-            "train": {
-                "alpha": config.alpha,
-                "lr0": config.lr0,
-                "decay": config.decay,
-                "decay_every": config.decay_every,
-                "epochs": config.epochs,
-                "batch_size": config.batch_size,
-                "seed": config.seed,
-                "loss_mode": config.loss_mode,
-                "standardize": config.standardize,
-            },
+            "train": asdict(config),
             "standardizer": {
                 "mean": stats.mean.tolist(),
                 "std": stats.std.tolist(),

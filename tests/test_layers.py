@@ -6,7 +6,6 @@ import mgtnet.linalg as la
 from mgtnet.layers import (
     ConfigurationError,
     DilatedConvLayer,
-    GConvLayer,
     HighOrderGConvLayer,
     LamGConvLayer,
     LayerNorm,
@@ -98,30 +97,31 @@ def test_glorot_bounds_and_determinism():
 def test_unknown_activation_rejected():
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        GConvLayer(np.eye(3), 4, 4, rng, activation="tanh")
+        MultiHopGConvLayer([np.eye(3)], 4, 4, rng, activation="tanh")
 
 
 # ---------------------------------------------------------------------------
-# plain and multi-hop graph convolution
+# multi-hop graph convolution; with one adjacency it is the plain A @ H @ W + b
 
 
 def test_gconv_forward_matches_dense_formula():
     rng = np.random.default_rng(1)
     a = normalize_adjacency(np.ones((4, 4)))
-    layer = GConvLayer(a, 5, 3, rng, activation="identity")
+    layer = MultiHopGConvLayer([a], 5, 3, rng, activation="identity")
     h = rng.standard_normal((4, 5))
     out = layer(Tensor(h))
-    np.testing.assert_allclose(out.data, a @ h @ layer.weight.data + layer.bias.data, atol=1e-14)
+    expected = a @ h @ layer.weights[0].data + layer.bias.data
+    np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
 
 def test_gconv_rejects_wrong_input_shape():
-    layer = GConvLayer(np.eye(4), 5, 3, np.random.default_rng(2))
+    layer = MultiHopGConvLayer([np.eye(4)], 5, 3, np.random.default_rng(2))
     with pytest.raises(la.ShapeError):
         layer(Tensor(np.zeros((4, 6))))
     with pytest.raises(la.ShapeError):
         layer(Tensor(np.zeros((3, 5))))
     with pytest.raises(ConfigurationError):
-        GConvLayer(np.zeros((3, 4)), 5, 3, np.random.default_rng(2))
+        MultiHopGConvLayer([np.zeros((3, 4))], 5, 3, np.random.default_rng(2))
 
 
 def test_multi_hop_forward_matches_brute_force():
@@ -324,10 +324,12 @@ def test_receptive_field_values():
 
 def test_dilated_conv_matches_reference():
     rng = np.random.default_rng(16)
-    for half_width, dilation in ((1, 1), (1, 2), (2, 3)):
+    # the 2 x 3 grid is smaller than the dilation reach, so some views lie
+    # entirely in the zero padding
+    for half_width, dilation, shape in ((1, 1, (7, 9)), (1, 2, (7, 9)), (2, 3, (7, 9)), (1, 3, (2, 3))):
         for trial in range(3):
             layer = DilatedConvLayer(rng, half_width, dilation)
-            x = rng.standard_normal((7, 9))
+            x = rng.standard_normal(shape)
             expected = dilated_conv_reference(x, layer.kernel.data, dilation)
             np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
             assert layer.span == receptive_field(half_width, dilation)
@@ -358,18 +360,26 @@ def test_dilated_conv_preserves_shape_and_validates():
 
 def test_dilated_conv_gradients():
     rng = np.random.default_rng(19)
+    for half_width, dilation, shape in ((1, 1, (4, 6)), (1, 2, (4, 6)), (2, 3, (4, 6)), (1, 3, (2, 3))):
+        layer = DilatedConvLayer(rng, half_width, dilation)
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+
+        def f(t):
+            out = layer(t)
+            return la.tensor_sum(la.mul(out, out))
+
+        assert la.grad_check(f, x).passed, (half_width, dilation, shape)
+        reports = la.grad_check_params(lambda: f(x), layer.parameters())
+        assert reports["kernel"].passed, (half_width, dilation, shape)
+
+
+def test_dilated_conv_is_one_tape_record():
+    rng = np.random.default_rng(21)
     layer = DilatedConvLayer(rng, 1, 2)
-    x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-
-    def f(t):
-        out = layer(t)
-        return la.tensor_sum(la.mul(out, out))
-
-    assert la.grad_check(f, x).passed
-    reports = la.grad_check_params(
-        lambda: la.tensor_sum(la.mul(layer(x), layer(x))), layer.parameters()
-    )
-    assert reports["kernel"].passed
+    x = Tensor(rng.standard_normal((17, 8)), requires_grad=True)
+    with la.Tape() as tape:
+        layer(x)
+    assert len(tape) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -135,25 +135,11 @@ def test_zero_grads_accepts_named_pairs():
 # forward values
 
 
-def test_operator_sugar_matches_numpy():
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.standard_normal((3, 4)))
-    b = Tensor(rng.standard_normal((3, 4)))
-    np.testing.assert_allclose((a + b).data, a.data + b.data)
-    np.testing.assert_allclose((a - b).data, a.data - b.data)
-    np.testing.assert_allclose((a * b).data, a.data * b.data)
-    np.testing.assert_allclose((a + 2.5).data, a.data + 2.5)
-    np.testing.assert_allclose((3.0 * a).data, 3.0 * a.data)
-    np.testing.assert_allclose((1.0 - a).data, 1.0 - a.data)
-    np.testing.assert_allclose((-a).data, -a.data)
-    np.testing.assert_allclose(a.T.data, a.data.T)
-
-
 def test_matmul_matches_numpy():
     rng = np.random.default_rng(1)
     a = Tensor(rng.standard_normal((3, 5)))
     b = Tensor(rng.standard_normal((5, 2)))
-    np.testing.assert_allclose((a @ b).data, a.data @ b.data)
+    np.testing.assert_allclose(la.matmul(a, b).data, a.data @ b.data)
 
 
 def test_matmul_shape_errors():
@@ -206,23 +192,16 @@ def test_layer_norm_shape_errors():
         la.layer_norm(Tensor(np.zeros(3)), gain, bias)
 
 
-def test_pad2d_values():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = la.pad2d(x, 1).data
-    assert out.shape == (4, 4)
-    np.testing.assert_allclose(out[1:3, 1:3], x.data)
-    assert out[0].sum() == 0 and out[:, 0].sum() == 0
-    assert la.pad2d(x, 0) is x
+def test_dilated_conv2d_shape_errors():
+    grid = Tensor(np.zeros((4, 5)))
     with pytest.raises(la.ShapeError):
-        la.pad2d(x, -1)
-
-
-def test_take_slice_and_getitem():
-    x = Tensor(np.arange(12.0).reshape(3, 4))
-    np.testing.assert_allclose(x[1].data, x.data[1])
-    np.testing.assert_allclose(x[0:2, 1:3].data, x.data[0:2, 1:3])
+        la.dilated_conv2d(grid, Tensor(np.zeros((3, 2))), 1)
     with pytest.raises(la.ShapeError):
-        la.take_slice(x, [0, 1])  # fancy indexing unsupported
+        la.dilated_conv2d(grid, Tensor(np.zeros((2, 2))), 1)
+    with pytest.raises(la.ShapeError):
+        la.dilated_conv2d(grid, Tensor(np.zeros((3, 3))), 0)
+    with pytest.raises(la.ShapeError):
+        la.dilated_conv2d(Tensor(np.zeros(5)), Tensor(np.zeros((3, 3))), 1)
 
 
 def test_concat_and_stack_values():
@@ -255,8 +234,6 @@ def test_reductions_match_numpy():
     x = Tensor(rng.standard_normal((3, 5)))
     np.testing.assert_allclose(la.tensor_sum(x).data, x.data.sum())
     np.testing.assert_allclose(la.tensor_sum(x, axis=1).data, x.data.sum(axis=1))
-    np.testing.assert_allclose(la.tensor_mean(x).data, x.data.mean())
-    np.testing.assert_allclose(x.mean(axis=0).data, x.data.mean(axis=0))
 
 
 def test_dropout_modes():
@@ -303,13 +280,13 @@ def test_grad_sub_mul_neg():
     a = rand(rng, 2, 3)
     b = rand(rng, 2, 3)
     check(lambda t: la.tensor_sum(la.mul(la.sub(t, b), t)), a)
-    check(lambda t: la.tensor_sum(la.mul(a, la.neg(t))), b)
+    check(lambda t: la.tensor_sum(la.mul(a, la.sub(a, t))), b)
 
 
 def test_grad_scale_shift():
     rng = np.random.default_rng(12)
     a = rand(rng, 5)
-    check(lambda t: la.tensor_sum(la.mul(la.scale(t, -1.7), la.shift(t, 0.3))), a)
+    check(lambda t: la.tensor_sum(la.mul(la.scale(t, -1.7), la.add(t, Tensor(0.3)))), a)
 
 
 def test_grad_matmul():
@@ -330,29 +307,26 @@ def test_grad_relu_and_abs_away_from_kinks():
     check(lambda t: la.tensor_sum(la.absolute(t)), x)
 
 
-def test_grad_concat_stack_slice():
+def test_grad_concat_stack():
     rng = np.random.default_rng(15)
     a = rand(rng, 2, 3)
     b = rand(rng, 2, 2)
     check(lambda t: la.tensor_sum(la.mul(la.concat([t, b]), la.concat([t, b]))), a)
     check(lambda t: la.tensor_sum(la.mul(la.stack([t, t]), la.stack([t, t]))), a)
-    check(lambda t: la.tensor_sum(la.mul(t[0:1, 1:3], t[1:2, 0:2])), a)
 
 
-def test_grad_reshape_permute_pad():
+def test_grad_reshape_permute():
     rng = np.random.default_rng(16)
     a = rand(rng, 2, 6)
     check(lambda t: la.tensor_sum(la.mul(la.reshape(t, (3, 4)), la.reshape(t, (3, 4)))), a)
     check(lambda t: la.tensor_sum(la.mul(la.permute(t, (1, 0)), la.permute(t, (1, 0)))), a)
-    check(lambda t: la.tensor_sum(la.mul(la.pad2d(t, 2), la.pad2d(t, 2))), a)
 
 
 def test_grad_reductions():
     rng = np.random.default_rng(17)
     a = rand(rng, 3, 4)
     check(lambda t: la.mul(la.tensor_sum(t), la.tensor_sum(t)), a)
-    check(lambda t: la.tensor_sum(la.mul(la.tensor_mean(t, axis=1), la.tensor_mean(t, axis=1))), a)
-    check(lambda t: la.mul(la.tensor_mean(t), la.tensor_mean(t)), a)
+    check(lambda t: la.tensor_sum(la.mul(la.tensor_sum(t, axis=1), la.tensor_sum(t, axis=1))), a)
 
 
 def test_grad_softmax_rows():
@@ -371,6 +345,23 @@ def test_grad_layer_norm_all_inputs():
     check(lambda t: la.tensor_sum(la.mul(la.layer_norm(t, gain, bias), w)), x)
     check(lambda t: la.tensor_sum(la.mul(la.layer_norm(x, t, bias), w)), gain)
     check(lambda t: la.tensor_sum(la.mul(la.layer_norm(x, gain, t), w)), bias)
+
+
+def test_grad_dilated_conv2d_all_inputs():
+    rng = np.random.default_rng(23)
+    x = rand(rng, 5, 4)
+    kernel = rand(rng, 3, 3)
+    w = Tensor(rng.standard_normal((5, 4)))
+    check(lambda t: la.tensor_sum(la.mul(la.dilated_conv2d(t, kernel, 2), w)), x)
+    check(lambda t: la.tensor_sum(la.mul(la.dilated_conv2d(x, t, 2), w)), kernel)
+    # a constant grid sends gradient to the kernel only
+    grid = Tensor(x.data)
+    check(lambda t: la.tensor_sum(la.mul(la.dilated_conv2d(grid, t, 2), w)), kernel)
+    with Tape() as tape:
+        loss = la.tensor_sum(la.dilated_conv2d(grid, kernel, 2))
+    kernel.grad = None
+    tape.backward(loss)
+    assert grid.grad is None and kernel.grad is not None
 
 
 def test_grad_dropout_fixed_mask():

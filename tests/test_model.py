@@ -233,7 +233,8 @@ def test_every_parameter_reaches_the_loss():
     for _ in range(3):
         x = rng.standard_normal((17, 2, 3))
         with Tape() as tape:
-            loss = la.mul(net.forward(Tensor(x)), Tensor(rng.standard_normal((17, 3)))).sum()
+            weights = Tensor(rng.standard_normal((17, 3)))
+            loss = la.tensor_sum(la.mul(net.forward(Tensor(x)), weights))
         for _, p in params:
             p.grad = None
         tape.backward(loss)

@@ -1,4 +1,6 @@
 """Loss properties, learning-rate schedule, optimizer oracle, training loop."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,7 +160,7 @@ def test_amsgrad_matches_scalar_oracle_on_quadratic():
     opt = AmsGrad([("p", p)])
     for _ in range(100):
         with Tape() as tape:
-            loss = la.mul(p, p).sum()
+            loss = la.tensor_sum(la.mul(p, p))
         p.grad = None
         tape.backward(loss)
         opt.step(0.1)
@@ -293,7 +295,7 @@ def test_train_writes_loadable_checkpoint(tmp_path):
     restored, extra = load_checkpoint(path)
     for (_, p1), (_, p2) in zip(net.parameters(), restored.parameters()):
         np.testing.assert_array_equal(p1.data, p2.data)
-    assert extra["train"]["epochs"] == 2
+    assert extra["train"] == dataclasses.asdict(config)
     assert extra["root_relative"] is True
     assert np.asarray(extra["standardizer"]["mean"]).shape == (17, 2)
     # restored net predicts identically
