@@ -71,7 +71,11 @@ class CheckFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved model plus training settings for one command invocation."""
+    """Resolved model plus training settings for one command invocation.
+
+    Its fields are those of ``ModelConfig`` (but ``n_joints``, which comes
+    from the data) and of ``TrainConfig``, with the same defaults.
+    """
 
     frames: int = 243
     hidden: int = 256
@@ -94,32 +98,15 @@ class RunConfig:
     standardize: bool = True
 
     def model_config(self, n_joints: int) -> ModelConfig:
+        fields = dataclasses.fields(ModelConfig)
         return ModelConfig(
             n_joints=n_joints,
-            frames=self.frames,
-            hidden=self.hidden,
-            depth=self.depth,
-            heads=self.heads,
-            max_hop=self.max_hop,
-            dropout=self.dropout,
-            dilation=self.dilation,
-            kernel_half_width=self.kernel_half_width,
-            gconv_mode=self.gconv_mode,
-            use_dcl=self.use_dcl,
+            **{f.name: getattr(self, f.name) for f in fields if f.name != "n_joints"},
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            alpha=self.alpha,
-            lr0=self.lr0,
-            decay=self.decay,
-            decay_every=self.decay_every,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-            loss_mode=self.loss_mode,
-            standardize=self.standardize,
-        )
+        fields = dataclasses.fields(TrainConfig)
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields})
 
 
 PRESETS: dict[str, dict] = {

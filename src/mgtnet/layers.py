@@ -2,8 +2,9 @@
 
 Every layer owns its parameters as requires-grad tensors, exposes
 ``parameters()`` as stable (name, tensor) pairs, and is callable on a
-``Tensor`` of per-joint feature rows.  Adjacency stacks arrive as plain numpy
-matrices from the skeleton module and are frozen as constants here.
+``Tensor`` of per-joint feature rows, (N, F) for one sample or (B, N, F) for
+a batch.  Adjacency stacks arrive as plain numpy matrices from the skeleton
+module and are frozen as constants here.
 """
 from __future__ import annotations
 
@@ -100,9 +101,9 @@ class MultiHopGConvLayer:
 
     def __call__(self, h: Tensor) -> Tensor:
         n = self.adjacencies[0].shape[0]
-        if h.ndim != 2 or h.shape[0] != n or h.shape[1] != self.f_in:
+        if h.ndim not in (2, 3) or h.shape[-2:] != (n, self.f_in):
             raise la.ShapeError(
-                f"multi-hop conv expects input of shape ({n}, {self.f_in}), got {h.shape}"
+                f"multi-hop conv expects input of shape ([B,] {n}, {self.f_in}), got {h.shape}"
             )
         out = None
         for adjacency, weight in zip(self.adjacencies, self.weights):
@@ -167,9 +168,9 @@ class LamGConvLayer:
 
     def __call__(self, h: Tensor) -> Tensor:
         n = self.adjacency.shape[0]
-        if h.ndim != 2 or h.shape[0] != n or h.shape[1] != self.width:
+        if h.ndim not in (2, 3) or h.shape[-2:] != (n, self.width):
             raise la.ShapeError(
-                f"lam conv expects input of shape ({n}, {self.width}), got {h.shape}"
+                f"lam conv expects input of shape ([B,] {n}, {self.width}), got {h.shape}"
             )
         out = la.matmul(la.matmul(self.adjacency, h), self.weight)
         return _apply_activation(out, self.activation)
@@ -206,8 +207,8 @@ class MultiHeadSelfAttention:
         self._inv_sqrt_dim = 1.0 / math.sqrt(self.head_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.width:
-            raise la.ShapeError(f"attention expects (*, {self.width}) input, got {x.shape}")
+        if x.ndim not in (2, 3) or x.shape[-1] != self.width:
+            raise la.ShapeError(f"attention expects ([B,] *, {self.width}) input, got {x.shape}")
         outputs = []
         for i in range(self.heads):
             q = la.matmul(x, self.w_query[i])

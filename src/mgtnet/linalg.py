@@ -5,9 +5,17 @@ in this module.  A ``Tensor`` wraps a row-major numpy buffer.  Operations are
 recorded onto the innermost active ``Tape``; with no tape installed they just
 compute values, which is what evaluation paths use.  Tapes are single-threaded
 by contract: one tape per training worker, never shared concurrently.
+
+The operations the network records take an optional leading batch axis: a
+3-d tensor is a batch of 2-d samples.  Each sample is computed with the same
+numpy calls the unbatched operation makes, and a gradient that reaches an
+operand without the batch axis (a weight, a bias, a kernel) is taken per
+sample and summed by ``_sum_samples``.  So a batched forward and backward is
+bit for bit equal to a tape of per-sample forwards joined by ``stack``.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +29,6 @@ __all__ = [
     "GradCheckReport",
     "set_debug",
     "debug_enabled",
-    "backward",
     "matmul",
     "add",
     "sub",
@@ -90,7 +97,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._tape: "Tape | None" = None
+        # weak reference to the producing tape, so a tape and its outputs
+        # form no reference cycle and refcounting frees a finished tape
+        self._tape: "weakref.ref[Tape] | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,9 +117,6 @@ class Tensor:
         if self.size != 1:
             raise ContractError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -136,6 +142,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -157,7 +164,7 @@ class Tape:
         """
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        if loss._tape is not self._ref:
             raise ContractError("loss was not produced by operations recorded on this tape")
         pending: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for out, inputs, rule in reversed(self._records):
@@ -167,20 +174,13 @@ class Tape:
             for tensor, grad in zip(inputs, rule(out_grad)):
                 if grad is None or not tensor.requires_grad:
                     continue
-                if tensor._tape is self:
+                if tensor._tape is self._ref:
                     seen = pending.get(id(tensor))
                     pending[id(tensor)] = grad if seen is None else seen + grad
                 elif tensor.grad is None:
                     tensor.grad = grad.copy()
                 else:
                     tensor.grad = tensor.grad + grad
-
-
-def backward(loss: Tensor) -> None:
-    """Run the reverse sweep of the tape that produced ``loss``."""
-    if loss._tape is None:
-        raise ContractError("loss was not produced by recorded operations")
-    loss._tape.backward(loss)
 
 
 def zero_grads(params) -> None:
@@ -200,20 +200,44 @@ def _emit(data: np.ndarray, inputs: tuple[Tensor, ...], rule, op: str) -> Tensor
     out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _current_tape()
     if out.requires_grad and tape is not None:
-        out._tape = tape
+        out._tape = tape._ref
         tape._records.append((out, inputs, rule))
     return out
 
 
+def _sum_samples(grads: np.ndarray, ndim: int) -> np.ndarray:
+    """Sum per-sample gradients over the leading batch axis an ``ndim``-d operand lacks.
+
+    The sum runs one sample at a time from the last sample to the first: the
+    order in which a tape of per-sample forwards accumulates a shared leaf's
+    ``grad``.  ``np.sum`` would add pairwise at some shapes, and a GEMM over
+    the joined batch in yet another order.  (``np.add.accumulate`` adds in
+    this order too, but walks the batch axis once per element, which is
+    over ten times slower on 256 x 256 weight gradients.)
+    """
+    if grads.ndim == ndim:
+        return grads
+    total = grads[-1].copy()
+    for grad in grads[-2::-1]:
+        total += grad
+    return total
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
-    extra = grad.ndim - len(shape)
+    """Sum ``grad`` down to ``shape`` after numpy broadcasting.
+
+    A 3-d ``grad`` against an operand of at most two axes is a batch of 2-d
+    samples: each sample is reduced as the unbatched op reduces it, then the
+    batch is summed by ``_sum_samples``.
+    """
+    lead = 1 if grad.ndim == 3 and len(shape) < 3 else 0
+    extra = grad.ndim - lead - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+        grad = grad.sum(axis=tuple(range(lead, lead + extra)))
+    axes = tuple(lead + i for i, n in enumerate(shape) if n == 1 and grad.shape[lead + i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return _sum_samples(grad, len(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -300,20 +324,33 @@ def absolute(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product, optionally over a leading batch axis.
+
+    Accepted forms: ``(n, k) @ (k, m)``, ``(B, n, k) @ (k, m)``,
+    ``(n, k) @ (B, k, m)`` and ``(B, n, k) @ (B, k, m)``.  ``np.matmul``
+    makes one BLAS call per sample with the arguments of the unbatched
+    product; folding the batch into one GEMM would change the last bits.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
+        raise ShapeError(f"matmul needs 2-d or batched 3-d operands, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+    if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
+        raise ShapeError(f"matmul batch sizes disagree: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
 
     def rule(g):
         return (
-            g @ b_data.T if a.requires_grad else None,
-            a_data.T @ g if b.requires_grad else None,
+            _sum_samples(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.ndim)
+            if a.requires_grad
+            else None,
+            _sum_samples(np.matmul(np.swapaxes(a_data, -1, -2), g), b.ndim)
+            if b.requires_grad
+            else None,
         )
 
-    return _emit(a_data @ b_data, (a, b), rule, "matmul")
+    return _emit(np.matmul(a_data, b_data), (a, b), rule, "matmul")
 
 
 def concat(tensors) -> Tensor:
@@ -383,10 +420,11 @@ def permute(a, axes) -> Tensor:
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {a.shape}")
-    return permute(a, (1, 0))
+    if a.ndim < 2:
+        raise ShapeError(f"transpose needs at least 2 axes, got {a.shape}")
+    return permute(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
 
 
 def dropout(a, p: float, rng: np.random.Generator | None = None, train: bool = True) -> Tensor:
@@ -426,16 +464,16 @@ def tensor_sum(a, axis=None) -> Tensor:
 
 
 def softmax_rows(a) -> Tensor:
-    """Row-wise softmax of a 2-d tensor, stabilized by row-max subtraction."""
+    """Softmax over the last axis, stabilized by row-max subtraction."""
     a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"softmax_rows needs a 2-d tensor, got {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    if a.ndim < 2:
+        raise ShapeError(f"softmax_rows needs at least 2 axes, got {a.shape}")
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    out = exp / exp.sum(axis=1, keepdims=True)
+    out = exp / exp.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _emit(out, (a,), rule, "softmax_rows")
@@ -444,33 +482,34 @@ def softmax_rows(a) -> Tensor:
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Row-wise normalization to zero mean, unit variance, then affine.
 
-    Variance is the population variance over the feature axis.  ``eps`` keeps
+    ``a`` is (rows, width) or a (B, rows, width) batch.  Variance is the
+    population variance over the last (feature) axis.  ``eps`` keeps
     constant rows finite: they normalize to zero and come out as ``bias``.
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
-    if a.ndim != 2:
-        raise ShapeError(f"layer_norm needs a 2-d tensor, got {a.shape}")
-    width = a.shape[1]
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"layer_norm needs a 2-d tensor or a batch of them, got {a.shape}")
+    width = a.shape[-1]
     if gain.shape != (width,) or bias.shape != (width,):
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}, {bias.shape} do not match width {width}"
         )
-    centered = a.data - a.data.mean(axis=1, keepdims=True)
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    centered = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     normed = centered * inv
     out = normed * gain.data + bias.data
     gain_data = gain.data
 
     def rule(g):
-        d_gain = (g * normed).sum(axis=0) if gain.requires_grad else None
-        d_bias = g.sum(axis=0) if bias.requires_grad else None
+        d_gain = _sum_samples((g * normed).sum(axis=-2), 1) if gain.requires_grad else None
+        d_bias = _sum_samples(g.sum(axis=-2), 1) if bias.requires_grad else None
         if a.requires_grad:
             d_normed = g * gain_data
             d_a = inv * (
                 d_normed
-                - d_normed.mean(axis=1, keepdims=True)
-                - normed * (d_normed * normed).mean(axis=1, keepdims=True)
+                - d_normed.mean(axis=-1, keepdims=True)
+                - normed * (d_normed * normed).mean(axis=-1, keepdims=True)
             )
         else:
             d_a = None
@@ -482,30 +521,32 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 def dilated_conv2d(a, kernel, dilation: int) -> Tensor:
     """Zero-padded 2-d convolution of a grid with a square, odd, dilated kernel.
 
-    The output has the input's shape.  Tap (r, s) of a (2m+1) x (2m+1)
-    kernel reads the grid at offset (dilation * (r - m), dilation * (s - m));
-    cells beyond the edge read zero.  The forward pass sums
-    ``kernel[r, s] * view`` over the taps in row-major order, each view a
-    shifted window of the padded grid, and the backward pass correlates the
-    output gradient with the same views.  The backward pass visits the taps in
-    reverse, the order a reverse sweep over that sum takes; the order of the
-    input-gradient sum sets its last bits.
+    ``a`` is a (rows, cols) grid or a (B, rows, cols) batch of them; the
+    output has the input's shape.  Tap (r, s) of a (2m+1) x (2m+1) kernel
+    reads the grid at offset (dilation * (r - m), dilation * (s - m)); cells
+    beyond the edge read zero.  The forward pass sums ``kernel[r, s] * view``
+    over the taps in row-major order, each view a shifted window of the
+    padded grid, and the backward pass correlates the output gradient with
+    the same views.  The backward pass visits the taps in reverse, the order
+    a reverse sweep over that sum takes; the order of the input-gradient sum
+    sets its last bits.
     """
     a, kernel = as_tensor(a), as_tensor(kernel)
-    if a.ndim != 2:
-        raise ShapeError(f"dilated_conv2d needs a 2-d grid, got {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ShapeError(f"dilated_conv2d needs a 2-d grid or a batch of them, got {a.shape}")
     taps = kernel.shape[0]
     if kernel.ndim != 2 or kernel.shape[1] != taps or taps % 2 == 0:
         raise ShapeError(f"dilated_conv2d needs a square kernel of odd size, got {kernel.shape}")
     dilation = int(dilation)
     if dilation < 1:
         raise ShapeError(f"dilated_conv2d needs dilation >= 1, got {dilation}")
-    rows, cols = a.shape
+    rows, cols = a.shape[-2:]
     pad = dilation * (taps // 2)
-    padded = np.pad(a.data, pad)
+    padded = np.zeros(a.shape[:-2] + (rows + 2 * pad, cols + 2 * pad))
+    padded[..., pad : pad + rows, pad : pad + cols] = a.data
     k = kernel.data
     windows = [
-        (r, s, np.s_[dilation * r : dilation * r + rows, dilation * s : dilation * s + cols])
+        (r, s, np.s_[..., dilation * r : dilation * r + rows, dilation * s : dilation * s + cols])
         for r in range(taps)
         for s in range(taps)
     ]
@@ -515,14 +556,14 @@ def dilated_conv2d(a, kernel, dilation: int) -> Tensor:
 
     def rule(g):
         d_padded = np.zeros_like(padded) if a.requires_grad else None
-        d_kernel = np.empty_like(k) if kernel.requires_grad else None
+        d_kernel = np.empty(a.shape[:-2] + k.shape) if kernel.requires_grad else None
         for r, s, window in reversed(windows):
             if d_padded is not None:
                 d_padded[window] += g * k[r, s]
             if d_kernel is not None:
-                d_kernel[r, s] = (g * padded[window]).sum(axis=(0, 1))
-        d_a = d_padded[pad : pad + rows, pad : pad + cols] if d_padded is not None else None
-        return (d_a, d_kernel)
+                d_kernel[..., r, s] = (g * padded[window]).sum(axis=(-2, -1))
+        d_a = d_padded[..., pad : pad + rows, pad : pad + cols] if d_padded is not None else None
+        return (d_a, _sum_samples(d_kernel, 2) if d_kernel is not None else None)
 
     return _emit(out, (a, kernel), rule, "dilated_conv2d")
 

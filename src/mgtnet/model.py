@@ -1,10 +1,11 @@
 """The lifting network: embedding, stacked blocks, output head, checkpoints.
 
 A forward pass maps one sample of per-joint 2D trajectories (N x 2 x T) to a
-3D pose (N x 3).  The net is trained toward root-relative targets; nothing
-pins its root joint to the origin.  The stack alternates attention blocks and
-multi-hop convolution blocks, each wrapped in a skip connection; depth,
-width, heads, and hop order all come from ``ModelConfig``.
+3D pose (N x 3), or a batch (B x N x 2 x T) to B poses (B x N x 3).  The net
+is trained toward root-relative targets; nothing pins its root joint to the
+origin.  The stack alternates attention blocks and multi-hop convolution
+blocks, each wrapped in a skip connection; depth, width, heads, and hop order
+all come from ``ModelConfig``.
 """
 from __future__ import annotations
 
@@ -203,21 +204,25 @@ class MgtNet:
         self.head = _make_gconv(config, graph_mats, config.hidden, 3, rng, "identity")
 
     def forward(self, sample, train: bool = False, rng=None) -> Tensor:
-        """Lift one sample of shape (N, 2, T) to an (N, 3) pose.
+        """Lift one sample (N, 2, T) to an (N, 3) pose, or a batch (B, N, 2, T) to (B, N, 3).
 
+        A batch gives, bit for bit, the poses of one forward per sample, and
+        its backward the gradients of those forwards joined by ``la.stack``.
+        With dropout, a batch draws one mask per layer for all its samples.
         Training fits the output to root-relative targets, but the root joint
         is not pinned to the origin.
         """
         x = sample if isinstance(sample, Tensor) else Tensor(sample)
         cfg = self.config
-        if x.shape != (cfg.n_joints, 2, cfg.frames):
+        if x.ndim not in (3, 4) or x.shape[-3:] != (cfg.n_joints, 2, cfg.frames) or x.size == 0:
             raise la.ShapeError(
-                f"expected input of shape ({cfg.n_joints}, 2, {cfg.frames}), got {x.shape}"
+                f"expected input of shape ([B,] {cfg.n_joints}, 2, {cfg.frames}), got {x.shape}"
             )
+        lead = x.shape[:-3]
         # row layout per joint: x, y interleaved per frame, frame 0 first
         flat = self._staged(
             "input",
-            lambda: la.reshape(la.permute(x, (0, 2, 1)), (cfg.n_joints, 2 * cfg.frames)),
+            lambda: la.reshape(la.transpose(x), lead + (cfg.n_joints, 2 * cfg.frames)),
         )
         h = self._staged("embedding", lambda: self.embedding(flat))
         for i, (attn, conv) in enumerate(self.blocks):

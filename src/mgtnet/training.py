@@ -32,6 +32,9 @@ __all__ = [
 
 log = logging.getLogger("mgtnet.training")
 
+# Poses lifted by one batched forward in ``predict_dataset``.
+PREDICT_CHUNK = 64
+
 LOSS_MODES = ("pose_sum", "joint_mean")
 
 
@@ -184,9 +187,16 @@ def history_csv(rows) -> str:
 
 
 def predict_dataset(net: MgtNet, dataset: PoseDataset, stats: Standardizer) -> list[np.ndarray]:
-    """Deterministic forward pass over every sample; returns (N, 3) arrays."""
-    ready = standardize(dataset, stats)
-    return [net.forward(Tensor(s.inputs), train=False).data.copy() for s in ready]
+    """Deterministic forward pass over every sample; returns (N, 3) arrays.
+
+    Runs one batched forward per ``PREDICT_CHUNK`` poses.
+    """
+    ready = [s.inputs for s in standardize(dataset, stats)]
+    preds: list[np.ndarray] = []
+    for start in range(0, len(ready), PREDICT_CHUNK):
+        chunk = np.stack(ready[start : start + PREDICT_CHUNK])
+        preds.extend(net.forward(Tensor(chunk), train=False).data)
+    return preds
 
 
 def train(
@@ -213,8 +223,8 @@ def train(
         compute_standardizer(dataset) if config.standardize else Standardizer.identity(dataset.n_joints)
     )
     ready = standardize(dataset, stats)
-    inputs = [s.inputs for s in ready]
-    targets = [s.target for s in ready]
+    inputs = np.stack([s.inputs for s in ready])
+    targets = np.stack([s.target for s in ready])
     count = len(inputs)
 
     params = net.parameters()
@@ -230,12 +240,8 @@ def train(
         for start in range(0, count, config.batch_size):
             batch = order[start : start + config.batch_size]
             with la.Tape() as tape:
-                preds = la.stack(
-                    [net.forward(Tensor(inputs[i]), train=True, rng=dropout_rng) for i in batch]
-                )
-                loss = elastic_loss(
-                    preds, np.stack([targets[i] for i in batch]), config.alpha, config.loss_mode
-                )
+                preds = net.forward(Tensor(inputs[batch]), train=True, rng=dropout_rng)
+                loss = elastic_loss(preds, targets[batch], config.alpha, config.loss_mode)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise DivergenceError(

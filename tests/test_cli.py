@@ -1,4 +1,6 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from mgtnet.cli import (
     run_config_text,
 )
 from mgtnet.data import load_dataset
+from mgtnet.model import ModelConfig
+from mgtnet.training import TrainConfig
 
 
 def run(*argv):
@@ -63,6 +67,19 @@ def test_parse_config_text_bad_value_and_missing_equals():
         parse_config_text("epochs = soon")
     with pytest.raises(ValidationError, match="expected 'key = value'"):
         parse_config_text("epochs 5")
+
+
+def test_run_config_fields_are_the_model_and_train_fields():
+    expected = [
+        (f.name, f.default)
+        for cls in (ModelConfig, TrainConfig)
+        for f in dataclasses.fields(cls)
+        if f.name != "n_joints"
+    ]
+    assert [(f.name, f.default) for f in dataclasses.fields(RunConfig)] == expected
+    rc = RunConfig(**PRESETS["toy"])
+    converted = {**dataclasses.asdict(rc.model_config(17)), **dataclasses.asdict(rc.train_config())}
+    assert converted == {"n_joints": 17, **dataclasses.asdict(rc)}
 
 
 def test_run_config_text_round_trips(tmp_path):

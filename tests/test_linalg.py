@@ -1,4 +1,7 @@
 """Autodiff core: forward values against numpy, gradients against finite differences."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -61,7 +64,7 @@ def test_repeated_backward_accumulates():
     tape.backward(y)
     tape.backward(y)
     np.testing.assert_allclose(x.grad, 12.0)
-    x.zero_grad()
+    la.zero_grads([x])
     assert x.grad is None
 
 
@@ -81,13 +84,6 @@ def test_backward_rejects_foreign_loss():
         la.mul(x, x)
     with pytest.raises(la.ContractError):
         other.backward(y)
-
-
-def test_module_backward_requires_recorded_loss():
-    x = Tensor(1.0, requires_grad=True)
-    y = la.mul(x, x)  # no tape active
-    with pytest.raises(la.ContractError):
-        la.backward(y)
 
 
 def test_no_grad_tensor_stays_untouched():
@@ -115,11 +111,26 @@ def test_nested_tapes_record_independently():
             z = la.mul(x, x)
         inner.backward(z)
     inner_grad = x.grad.copy()
-    x.zero_grad()
+    la.zero_grads([x])
     outer.backward(y)
     np.testing.assert_allclose(inner_grad, 4.0)
     np.testing.assert_allclose(x.grad, 4.0)
     assert len(inner) == 1 and len(outer) == 1
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    x = Tensor(np.ones(3), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            loss = la.tensor_sum(la.mul(x, x))
+        tape.backward(loss)
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None  # freed by refcounting, though ``loss`` is alive
+        assert loss.item() == 3.0
+    finally:
+        gc.enable()
 
 
 def test_zero_grads_accepts_named_pairs():
@@ -225,8 +236,9 @@ def test_reshape_permute_values():
         la.reshape(x, (5, 5))
     with pytest.raises(la.ShapeError):
         la.permute(x, (0, 1))
+    np.testing.assert_array_equal(la.transpose(x).data, np.swapaxes(x.data, 1, 2))
     with pytest.raises(la.ShapeError):
-        la.transpose(x)
+        la.transpose(Tensor(np.arange(3.0)))
 
 
 def test_reductions_match_numpy():
@@ -434,3 +446,112 @@ def test_grad_check_params_covers_every_parameter():
     reports = la.grad_check_params(loss, [("w1", w1), ("w2", w2)])
     assert set(reports) == {"w1", "w2"}
     assert all(r.passed for r in reports.values())
+
+
+# ---------------------------------------------------------------------------
+# batched forms: bit for bit equal to per-sample ops joined by ``stack``
+
+
+def assert_batch_matches_samples(op, batched, shared):
+    """``op`` on a batch equals ``op`` per sample, forward and every gradient, bit for bit.
+
+    ``op`` takes the tensors of ``batched`` (arrays with a leading batch axis)
+    followed by those of ``shared`` (arrays without one).  The per-sample side
+    runs one ``op`` per sample on one tape and joins them with ``stack``, so
+    shared operands accumulate their gradient last sample first.
+    """
+    batch = batched[0].shape[0]
+    whole = [Tensor(x.copy(), requires_grad=True) for x in batched]
+    params = [Tensor(p.copy(), requires_grad=True) for p in shared]
+    with Tape() as tape:
+        out = op(*whole, *params)
+        weights = Tensor(np.random.default_rng(0).standard_normal(out.shape))
+        loss = la.tensor_sum(la.mul(out, weights))
+    tape.backward(loss)
+    shared_grads = [p.grad for p in params]
+
+    la.zero_grads(params)
+    samples = [[Tensor(x[i].copy(), requires_grad=True) for x in batched] for i in range(batch)]
+    with Tape() as tape:
+        stacked = la.stack([op(*sample, *params) for sample in samples])
+        loss = la.tensor_sum(la.mul(stacked, weights))
+    tape.backward(loss)
+
+    np.testing.assert_array_equal(out.data, stacked.data)
+    for j, t in enumerate(whole):
+        np.testing.assert_array_equal(t.grad, np.stack([sample[j].grad for sample in samples]))
+    for p, grad in zip(params, shared_grads):
+        np.testing.assert_array_equal(grad, p.grad)
+
+
+BATCHES = (1, 3, 9, 33)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_matmul_with_shared_right_operand(batch):
+    rng = np.random.default_rng(30 + batch)
+    for n, k, m in ((17, 8, 3), (17, 6, 8), (17, 486, 3), (17, 486, 64), (17, 128, 3), (17, 8, 1)):
+        x = rng.standard_normal((batch, n, k))
+        w = rng.standard_normal((k, m))
+        assert_batch_matches_samples(la.matmul, [x], [w])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_matmul_with_shared_left_operand(batch):
+    rng = np.random.default_rng(40 + batch)
+    for n, k in ((17, 8), (17, 486), (5, 1)):
+        a = rng.standard_normal((n, n))
+        h = rng.standard_normal((batch, n, k))
+        assert_batch_matches_samples(lambda h, a: la.matmul(a, h), [h], [a])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_matmul_of_two_batches(batch):
+    rng = np.random.default_rng(50 + batch)
+    for n, d in ((17, 4), (17, 64)):
+        q = rng.standard_normal((batch, n, d))
+        k = rng.standard_normal((batch, n, d))
+        assert_batch_matches_samples(lambda q, k: la.matmul(q, la.transpose(k)), [q, k], [])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_bias_add(batch):
+    rng = np.random.default_rng(60 + batch)
+    for width in (1, 3, 8):
+        x = rng.standard_normal((batch, 17, width))
+        bias = rng.standard_normal(width)
+        assert_batch_matches_samples(la.add, [x], [bias])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_softmax_and_layer_norm(batch):
+    rng = np.random.default_rng(70 + batch)
+    scores = rng.standard_normal((batch, 17, 17))
+    assert_batch_matches_samples(la.softmax_rows, [scores], [])
+    for width in (1, 8, 128):
+        x = rng.standard_normal((batch, 17, width))
+        gain = rng.standard_normal(width)
+        bias = rng.standard_normal(width)
+        assert_batch_matches_samples(la.layer_norm, [x], [gain, bias])
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batched_dilated_conv2d(batch):
+    rng = np.random.default_rng(80 + batch)
+    for taps, dilation, shape in ((3, 2, (17, 8)), (1, 2, (17, 8)), (5, 3, (4, 6)), (3, 3, (2, 3))):
+        x = rng.standard_normal((batch,) + shape)
+        kernel = rng.standard_normal((taps, taps))
+        assert_batch_matches_samples(
+            lambda x, kernel: la.dilated_conv2d(x, kernel, dilation), [x], [kernel]
+        )
+
+
+def test_batched_shape_errors():
+    with pytest.raises(la.ShapeError):
+        la.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+    with pytest.raises(la.ShapeError):
+        la.matmul(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((4, 5))))
+    with pytest.raises(la.ShapeError):
+        la.layer_norm(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(la.ShapeError):
+        la.dilated_conv2d(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((3, 3))), 1)

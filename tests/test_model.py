@@ -16,6 +16,7 @@ from mgtnet.model import (
     save_checkpoint,
 )
 from mgtnet.skeleton import human36m_skeleton
+from mgtnet.training import elastic_loss
 
 TOY = ModelConfig(
     n_joints=17, frames=3, hidden=8, depth=2, heads=2, max_hop=2, dropout=0.0
@@ -80,9 +81,14 @@ def test_forward_accepts_tensor_and_array():
 
 def test_forward_rejects_wrong_shape():
     net = toy_net()
-    for bad in ((17, 2, 4), (16, 2, 3), (17, 3, 3), (4, 17, 2, 3)):
+    bad_shapes = (
+        (17, 2, 4), (16, 2, 3), (17, 3, 3),
+        (4, 17, 2, 4), (4, 16, 2, 3), (2, 4, 17, 2, 3), (0, 17, 2, 3),
+    )
+    for bad in bad_shapes:
         with pytest.raises(la.ShapeError):
             net.forward(np.zeros(bad))
+    assert net.forward(np.zeros((4, 17, 2, 3))).shape == (4, 17, 3)
 
 
 def test_input_rows_interleave_xy_per_frame():
@@ -243,6 +249,59 @@ def test_every_parameter_reaches_the_loss():
                 peak[name] = max(peak[name], float(np.abs(p.grad).max()))
     dead = sorted(name for name, high in peak.items() if high == 0.0)
     assert not dead, f"parameters with no gradient path: {dead}"
+
+
+def assert_batched_step_matches_stacked(net, batch, seed):
+    """Run one loss and backward as one batched forward and as per-sample
+    forwards joined by ``stack``: outputs and every parameter gradient must
+    be equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    cfg = net.config
+    inputs = rng.standard_normal((batch, cfg.n_joints, 2, cfg.frames))
+    targets = rng.standard_normal((batch, cfg.n_joints, 3))
+    params = net.parameters()
+    sides = []
+    for batched in (True, False):
+        la.zero_grads(params)
+        with Tape() as tape:
+            if batched:
+                preds = net.forward(Tensor(inputs), train=True)
+            else:
+                preds = la.stack([net.forward(Tensor(x), train=True) for x in inputs])
+            loss = elastic_loss(preds, targets, alpha=0.3)
+        tape.backward(loss)
+        sides.append((preds.data, [p.grad for _, p in params]))
+    (out, grads), (ref_out, ref_grads) = sides
+    np.testing.assert_array_equal(out, ref_out)
+    for (name, _), grad, ref in zip(params, grads, ref_grads):
+        assert grad is not None, name
+        np.testing.assert_array_equal(grad, ref, err_msg=name)
+
+
+@pytest.mark.parametrize("batch", (1, 3, 9))
+@pytest.mark.parametrize(
+    "overrides",
+    ({}, {"kernel_half_width": 0, "gconv_mode": "highorder", "max_hop": 0}),
+    ids=("toy", "toy-1x1-highorder-0hop"),
+)
+def test_batched_step_is_bitwise_equal_to_stacked_samples(batch, overrides):
+    net = toy_net(seed=batch, **overrides)
+    assert_batched_step_matches_stacked(net, batch, seed=batch)
+
+
+def test_batched_step_is_bitwise_equal_to_stacked_samples_at_gt_ablation_width():
+    config = ModelConfig(hidden=128, dropout=0.0)
+    net = MgtNet(config, human36m_skeleton(), seed=3)
+    assert_batched_step_matches_stacked(net, batch=8, seed=8)
+
+
+def test_batch_of_one_draws_the_single_sample_dropout_masks():
+    net = toy_net(dropout=0.5)
+    x = np.random.default_rng(12).standard_normal((17, 2, 3))
+    single = net.forward(x, train=True, rng=np.random.default_rng(4)).data
+    batch = net.forward(x[None], train=True, rng=np.random.default_rng(4)).data
+    np.testing.assert_array_equal(batch[0], single)
+    assert np.abs(single - net.forward(x).data).max() > 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from mgtnet.linalg import Tape, Tensor
 from mgtnet.model import MgtNet, ModelConfig, load_checkpoint
 from mgtnet.skeleton import human36m_skeleton
 from mgtnet.training import (
+    PREDICT_CHUNK,
     AmsGrad,
     DivergenceError,
     HistoryRow,
@@ -327,11 +328,12 @@ def test_train_rejects_empty_dataset():
 def test_predict_dataset_matches_manual_forward():
     from mgtnet.data import Standardizer
 
-    data = synthesize(human36m_skeleton(), count=3, frames=3, seed=24)
+    count = PREDICT_CHUNK + 3  # one full chunk and a partial one
+    data = synthesize(human36m_skeleton(), count=count, frames=3, seed=24)
     net = toy_model()
     stats = Standardizer.identity(17)
     preds = predict_dataset(net, data, stats)
-    assert len(preds) == 3
+    assert len(preds) == count
     for sample, pred in zip(data, preds):
         np.testing.assert_array_equal(
             pred, net.forward(Tensor(sample.inputs), train=False).data
