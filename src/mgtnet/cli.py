@@ -15,7 +15,6 @@ import dataclasses
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,44 +68,38 @@ class CheckFailure(RuntimeError):
     """A requested verification did not meet its tolerance."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved model plus training settings for one command invocation.
+def _model_config(self, n_joints: int) -> ModelConfig:
+    fields = dataclasses.fields(ModelConfig)
+    return ModelConfig(
+        n_joints=n_joints,
+        **{f.name: getattr(self, f.name) for f in fields if f.name != "n_joints"},
+    )
 
-    Its fields are those of ``ModelConfig`` (but ``n_joints``, which comes
-    from the data) and of ``TrainConfig``, with the same defaults.
-    """
 
-    frames: int = 243
-    hidden: int = 256
-    depth: int = 5
-    heads: int = 4
-    max_hop: int = 2
-    dropout: float = 0.1
-    dilation: int = 2
-    kernel_half_width: int = 1
-    gconv_mode: str = "multihop"
-    use_dcl: bool = True
-    alpha: float = 0.01
-    lr0: float = 0.005
-    decay: float = 0.9
-    decay_every: int = 4
-    epochs: int = 30
-    batch_size: int = 128
-    seed: int = 0
-    loss_mode: str = "pose_sum"
-    standardize: bool = True
+def _train_config(self) -> TrainConfig:
+    return TrainConfig(**{f.name: getattr(self, f.name) for f in dataclasses.fields(TrainConfig)})
 
-    def model_config(self, n_joints: int) -> ModelConfig:
-        fields = dataclasses.fields(ModelConfig)
-        return ModelConfig(
-            n_joints=n_joints,
-            **{f.name: getattr(self, f.name) for f in fields if f.name != "n_joints"},
-        )
 
-    def train_config(self) -> TrainConfig:
-        fields = dataclasses.fields(TrainConfig)
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields})
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, dataclasses.field(default=f.default))
+        for cls in (ModelConfig, TrainConfig)
+        for f in dataclasses.fields(cls)
+        if f.name != "n_joints"
+    ],
+    namespace={
+        "__doc__": (
+            "Resolved model plus training settings for one command invocation.\n\n"
+            "Its fields are those of ``ModelConfig`` (but ``n_joints``, which comes\n"
+            "from the data) and of ``TrainConfig``, with the same defaults."
+        ),
+        "__module__": __name__,
+        "model_config": _model_config,
+        "train_config": _train_config,
+    },
+    frozen=True,
+)
 
 
 PRESETS: dict[str, dict] = {
@@ -263,9 +256,7 @@ def cmd_eval(args) -> int:
         else Standardizer.identity(cfg.n_joints)
     )
     preds = predict_dataset(net, dataset, stats)
-    gts = [s.target for s in dataset]
-    actions = [s.action for s in dataset]
-    report = metric_report(preds, gts, actions, threshold=args.pck_threshold)
+    report = metric_report(preds, dataset.targets, dataset.actions, threshold=args.pck_threshold)
     if args.dump_poses:
         _write_pose_dump(args.dump_poses, dataset, preds)
     _emit(report.table(), report.to_csv(), args.csv)
@@ -275,13 +266,11 @@ def cmd_eval(args) -> int:
 def _write_pose_dump(path, dataset, preds) -> None:
     names = dataset.skeleton.joint_names
     lines = ["sample,action,joint,joint_name,pred_x,pred_y,pred_z,gt_x,gt_y,gt_z"]
-    for i, (sample, pred) in enumerate(zip(dataset, preds)):
+    for i, (action, pred, target) in enumerate(zip(dataset.actions, preds, dataset.targets)):
         for j, name in enumerate(names):
             px, py, pz = pred[j]
-            gx, gy, gz = sample.target[j]
-            lines.append(
-                f"{i},{sample.action},{j},{name},{px!r},{py!r},{pz!r},{gx!r},{gy!r},{gz!r}"
-            )
+            gx, gy, gz = target[j]
+            lines.append(f"{i},{action},{j},{name},{px!r},{py!r},{pz!r},{gx!r},{gy!r},{gz!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -290,21 +279,17 @@ def cmd_graph(args) -> int:
     if args.k_max < 1:
         raise ValidationError(f"--k-max must be at least 1, got {args.k_max}")
     hops = hop_distances(graph)
-    rows = sparsity_report(graph, args.k_max)
-    spectra = []
-    for k in range(args.k_max + 1):
-        normalized = normalize_adjacency(k_adjacency(hops, k))
-        eigenvalues = np.linalg.eigvalsh(normalized)
-        spectra.append((k, float(eigenvalues.min()), float(eigenvalues.max())))
+    # per k: nnz of (A+I)^k, nnz of the hop-k adjacency (both the identity at
+    # k = 0), and the eigenvalue range of the normalized hop-k adjacency
+    counts = [(graph.n_joints, graph.n_joints)]
+    counts += [(row.nnz_power, row.nnz_k_adjacency) for row in sparsity_report(graph, args.k_max)]
+    stats = []
+    for k, (power, hop_nnz) in enumerate(counts):
+        eigenvalues = np.linalg.eigvalsh(normalize_adjacency(k_adjacency(hops, k)))
+        stats.append((k, power, hop_nnz, float(eigenvalues.min()), float(eigenvalues.max())))
 
     csv_lines = ["k,nnz_dense_power,nnz_hop_adjacency,eig_min,eig_max"]
-    by_k = {row.k: row for row in rows}
-    for k, lo, hi in spectra:
-        row = by_k.get(k)
-        # the zeroth power is the identity
-        power = row.nnz_power if row else graph.n_joints
-        hop_nnz = row.nnz_k_adjacency if row else int(k_adjacency(hops, k).astype(bool).sum())
-        csv_lines.append(f"{k},{power},{hop_nnz},{lo!r},{hi!r}")
+    csv_lines += [f"{k},{power},{hop_nnz},{lo!r},{hi!r}" for k, power, hop_nnz, lo, hi in stats]
     csv_text = "\n".join(csv_lines) + "\n"
 
     human_lines = [
@@ -315,11 +300,10 @@ def cmd_graph(args) -> int:
         "",
         "k   nnz((A+I)^k)  nnz(hop-k)  eig range of normalized hop-k",
     ]
-    for k, lo, hi in spectra:
-        row = by_k.get(k)
-        power = f"{row.nnz_power if row else graph.n_joints:>12}"
-        hop_nnz = row.nnz_k_adjacency if row else int(k_adjacency(hops, k).astype(bool).sum())
-        human_lines.append(f"{k:<3} {power}  {hop_nnz:>10}  [{lo:+.4f}, {hi:+.4f}]")
+    human_lines += [
+        f"{k:<3} {power:>12}  {hop_nnz:>10}  [{lo:+.4f}, {hi:+.4f}]"
+        for k, power, hop_nnz, lo, hi in stats
+    ]
     human_lines.append("")
     human_lines.append("hop distance matrix:")
     human_lines.append(np.array2string(hops.distances, max_line_width=200))

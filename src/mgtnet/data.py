@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,47 +61,78 @@ class PoseSample:
     action: str
 
 
-class PoseDataset:
-    """Validated collection of pose samples over one skeleton.
+def _check_layout(skeleton: SkeletonGraph, frames) -> int:
+    if not skeleton.is_connected():
+        raise DataFormatError("skeleton is disconnected")
+    frames = int(frames)
+    if frames < 1:
+        raise DataFormatError(f"frames must be positive, got {frames}")
+    return frames
 
-    Every target is root-relative (the root joint sits at the origin);
-    centering happens here so any constructor path yields the invariant.
+
+class PoseDataset:
+    """Validated pose set over one skeleton, held as arrays.
+
+    ``inputs`` is (S, N, 2, T), ``targets`` is (S, N, 3) and ``actions``
+    holds S labels.  Every target is root-relative (the root joint sits at
+    the origin); centering happens here so any constructor path yields the
+    invariant.  ``samples`` gives per-pose ``PoseSample`` views into the
+    arrays.
     """
 
     def __init__(self, skeleton: SkeletonGraph, frames: int, samples, unit: str = "millimeters"):
-        if not skeleton.is_connected():
-            raise DataFormatError("skeleton is disconnected")
-        frames = int(frames)
-        if frames < 1:
-            raise DataFormatError(f"frames must be positive, got {frames}")
+        samples = list(samples)
+        frames = _check_layout(skeleton, frames)
         n = skeleton.n_joints
-        checked = []
         for k, sample in enumerate(samples):
-            inputs = np.asarray(sample.inputs, dtype=np.float64)
-            target = np.asarray(sample.target, dtype=np.float64)
-            if inputs.shape != (n, 2, frames):
-                raise DataFormatError(
-                    f"record {k}: inputs have shape {inputs.shape}, expected {(n, 2, frames)}"
-                )
-            if target.shape != (n, 3):
-                raise DataFormatError(
-                    f"record {k}: target has shape {target.shape}, expected {(n, 3)}"
-                )
-            if not np.isfinite(inputs).all() or not np.isfinite(target).all():
-                raise DataFormatError(f"non-finite values in record {k}")
-            target = target - target[skeleton.root]
-            checked.append(PoseSample(inputs, target, str(sample.action)))
+            for what, shape in (("inputs", (n, 2, frames)), ("target", (n, 3))):
+                got = np.shape(getattr(sample, what))
+                if got != shape:
+                    raise DataFormatError(f"record {k}: {what} has shape {got}, expected {shape}")
+        inputs = np.array([s.inputs for s in samples], dtype=np.float64).reshape(-1, n, 2, frames)
+        targets = np.array([s.target for s in samples], dtype=np.float64).reshape(-1, n, 3)
+        self._assign(skeleton, inputs, targets, [s.action for s in samples], unit)
+
+    @classmethod
+    def from_arrays(cls, skeleton: SkeletonGraph, inputs, targets, actions, unit: str = "millimeters"):
+        """Wrap (S, N, 2, T) inputs, (S, N, 3) targets and S action labels."""
+        dataset = cls.__new__(cls)
+        dataset._assign(skeleton, inputs, targets, actions, unit)
+        return dataset
+
+    def _assign(self, skeleton, inputs, targets, actions, unit) -> None:
+        """The one validation: shapes, finiteness naming the first bad record, root-centering."""
+        inputs = np.ascontiguousarray(inputs, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
+        actions = tuple(map(str, actions))
+        frames = _check_layout(skeleton, inputs.shape[-1] if inputs.ndim else 0)
+        n = skeleton.n_joints
+        for what, array, shape in (
+            ("inputs", inputs, (len(actions), n, 2, frames)),
+            ("targets", targets, (len(actions), n, 3)),
+        ):
+            if array.shape != shape:
+                raise DataFormatError(f"{what} have shape {array.shape}, expected {shape}")
+        finite = np.isfinite(inputs).all(axis=(1, 2, 3)) & np.isfinite(targets).all(axis=(1, 2))
+        if not finite.all():
+            raise DataFormatError(f"non-finite values in record {int(np.argmin(finite))}")
         self.skeleton = skeleton
         self.frames = frames
         self.unit = str(unit)
-        self.samples: list[PoseSample] = checked
+        self.inputs = inputs
+        self.targets = targets - targets[:, skeleton.root, None]
+        self.actions = actions
+
+    @cached_property
+    def samples(self) -> list[PoseSample]:
+        return [PoseSample(*record) for record in zip(self.inputs, self.targets, self.actions)]
 
     @property
     def n_joints(self) -> int:
         return self.skeleton.n_joints
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.actions)
 
     def __iter__(self):
         return iter(self.samples)
@@ -111,11 +143,9 @@ class PoseDataset:
             raise DataFormatError(
                 f"cannot truncate {self.frames}-frame dataset to {frames} frames"
             )
-        trimmed = [
-            PoseSample(s.inputs[:, :, self.frames - frames :], s.target, s.action)
-            for s in self.samples
-        ]
-        return PoseDataset(self.skeleton, frames, trimmed, self.unit)
+        return PoseDataset.from_arrays(
+            self.skeleton, self.inputs[..., self.frames - frames :], self.targets, self.actions, self.unit
+        )
 
 
 _N_HARMONICS = 2
@@ -191,8 +221,9 @@ def synthesize(
     rest, axes = _canonical_generator(skeleton)
     n = skeleton.n_joints
     t_grid = np.arange(frames) / max(frames, 2)
-    samples = []
-    for _ in range(count):
+    inputs = np.empty((count, n, 2, frames))
+    targets = np.empty((count, n, 3))
+    for k in range(count):
         amp = rng.uniform(0.3, 1.0, size=(n, _N_HARMONICS)) * amplitude
         freq = rng.uniform(0.5, 2.0, size=(n, _N_HARMONICS))
         phase = rng.uniform(0.0, 2.0 * np.pi, size=(n, _N_HARMONICS))
@@ -204,12 +235,11 @@ def synthesize(
         pose = rest[:, :, None] + drift
         pose[skeleton.root] = 0.0
         pose = _quantize(pose)
-        target = pose[:, :, frames - 1]
-        inputs = pose[:, :2, :]
+        targets[k] = pose[:, :, frames - 1]
+        inputs[k] = pose[:, :2, :]
         if noise_sigma > 0:
-            inputs = _quantize(inputs + rng.normal(0.0, noise_sigma, size=inputs.shape))
-        samples.append(PoseSample(inputs, target, "synthetic"))
-    return PoseDataset(skeleton, frames, samples, unit)
+            inputs[k] = _quantize(inputs[k] + rng.normal(0.0, noise_sigma, size=inputs[k].shape))
+    return PoseDataset.from_arrays(skeleton, inputs, targets, ("synthetic",) * count, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +260,11 @@ def save_dataset(dataset: PoseDataset, path) -> None:
         struct.pack("<I", len(skeleton_doc)),
         skeleton_doc,
     ]
-    for sample in dataset:
-        action = sample.action.encode("utf-8")
-        chunks.append(struct.pack("<I", len(action)))
-        chunks.append(action)
-        chunks.append(np.ascontiguousarray(sample.inputs, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(sample.target, dtype="<f4").tobytes())
+    inputs = dataset.inputs.astype("<f4")
+    targets = dataset.targets.astype("<f4")
+    for k, action in enumerate(dataset.actions):
+        label = action.encode("utf-8")
+        chunks += [struct.pack("<I", len(label)), label, inputs[k].tobytes(), targets[k].tobytes()]
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -272,8 +301,7 @@ class _Reader:
             self.fail(f"{what} is not valid UTF-8: {exc}")
 
     def floats(self, count: int, what: str) -> np.ndarray:
-        raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return np.frombuffer(self.take(4 * count, what), dtype="<f4")
 
 
 def load_dataset(path) -> PoseDataset:
@@ -303,21 +331,25 @@ def load_dataset(path) -> PoseDataset:
         raise DataFormatError(
             f"header joint count {n} does not match skeleton joint count {skeleton.n_joints}"
         )
-    if not skeleton.is_connected():
-        raise DataFormatError("skeleton is disconnected")
-    samples = []
+    # allocate for the header's count only once the file can hold that many records
+    least = 4 + 4 * n * (2 * frames + 3)
+    if count * least > len(buf) - r.pos:
+        r.fail(
+            f"unexpected end of file: header claims {count} records of at least {least} bytes, "
+            f"{len(buf) - r.pos} bytes follow"
+        )
+    inputs = np.empty((count, n, 2, frames))
+    targets = np.empty((count, n, 3))
+    actions = []
     for k in range(count):
         r.record = k
-        action = r.text("action label")
-        inputs = r.floats(n * 2 * frames, "inputs").reshape(n, 2, frames)
-        target = r.floats(n * 3, "target").reshape(n, 3)
-        if not np.isfinite(inputs).all() or not np.isfinite(target).all():
-            raise DataFormatError(f"non-finite values in record {k}")
-        samples.append(PoseSample(inputs, target, action))
+        actions.append(r.text("action label"))
+        inputs[k] = r.floats(n * 2 * frames, "inputs").reshape(n, 2, frames)
+        targets[k] = r.floats(n * 3, "target").reshape(n, 3)
     r.record = None
     if r.pos != len(buf):
         raise DataFormatError(f"trailing data after record {count - 1} at byte offset {r.pos}")
-    return PoseDataset(skeleton, frames, samples, unit)
+    return PoseDataset.from_arrays(skeleton, inputs, targets, actions, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +370,6 @@ class Standardizer:
     def apply(self, inputs: np.ndarray) -> np.ndarray:
         return (inputs - self.mean[:, :, None]) / self.std[:, :, None]
 
-    def invert(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs * self.std[:, :, None] + self.mean[:, :, None]
-
     @classmethod
     def identity(cls, n_joints: int) -> "Standardizer":
         return cls(np.zeros((n_joints, 2)), np.ones((n_joints, 2)))
@@ -350,9 +379,8 @@ def compute_standardizer(dataset: PoseDataset) -> Standardizer:
     """Fit per joint-coordinate mean and deviation over samples and frames."""
     if len(dataset) == 0:
         raise DataFormatError("cannot fit a standardizer on an empty dataset")
-    stacked = np.stack([s.inputs for s in dataset])  # (S, N, 2, T)
-    mean = stacked.mean(axis=(0, 3))
-    std = stacked.std(axis=(0, 3))
+    mean = dataset.inputs.mean(axis=(0, 3))
+    std = dataset.inputs.std(axis=(0, 3))
     flat = std == 0.0
     if flat.any():
         joints = sorted({int(j) for j, _ in np.argwhere(flat)})
@@ -371,7 +399,6 @@ def standardize(dataset: PoseDataset, stats: Standardizer) -> PoseDataset:
         raise DataFormatError(
             f"standardizer shape {stats.mean.shape} does not match {dataset.n_joints} joints"
         )
-    transformed = [
-        PoseSample(stats.apply(s.inputs), s.target, s.action) for s in dataset
-    ]
-    return PoseDataset(dataset.skeleton, dataset.frames, transformed, dataset.unit)
+    return PoseDataset.from_arrays(
+        dataset.skeleton, stats.apply(dataset.inputs), dataset.targets, dataset.actions, dataset.unit
+    )

@@ -50,55 +50,57 @@ def _paired(pred, gt) -> tuple[np.ndarray, np.ndarray]:
     return p, g
 
 
+def _pose_errors(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-pose mean joint distance of (S, N, 3) batches: shape (S,)."""
+    return np.linalg.norm(p - g, axis=-1).mean(axis=-1)
+
+
 def mpjpe(pred, gt) -> float:
-    """Mean Euclidean distance per joint, averaged over joints (and samples)."""
-    p, g = _paired(pred, gt)
-    return float(np.linalg.norm(p - g, axis=-1).mean())
+    """Mean Euclidean distance per joint, averaged over joints, then over poses."""
+    return float(_pose_errors(*_paired(pred, gt)).mean())
 
 
 def procrustes_align(pred, gt, allow_reflection: bool = False) -> np.ndarray:
     """Best similarity transform of ``pred`` onto ``gt``: argmin ||gt - (s R pred + t)||.
 
-    Solved in closed form via the SVD of the centered cross-covariance.  By
+    Takes one (N, 3) pose pair or a batch of (S, N, 3) and aligns each pose
+    on its own.  Solved in closed form via the SVD of the centered
+    cross-covariance (Umeyama, 1991), one batched SVD for all poses.  By
     default R is constrained to a proper rotation (det +1), enforced by
     flipping the smallest singular direction; ``allow_reflection`` lifts the
-    constraint.  Raises ``AlignmentError`` when either pose has no centered
+    constraint.  Raises ``AlignmentError`` when any pose has no centered
     variance, since scale and rotation are then undefined.
     """
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    if p.ndim != 2 or p.shape[-1] != 3 or p.shape != g.shape:
-        raise ValueError(f"expected matching (N, 3) poses, got {p.shape} and {g.shape}")
-    mu_p = p.mean(axis=0)
-    mu_g = g.mean(axis=0)
+    single = np.ndim(pred) == 2
+    p, g = _paired(pred, gt)
+    mu_p = p.mean(axis=1, keepdims=True)
+    mu_g = g.mean(axis=1, keepdims=True)
     pc = p - mu_p
     gc = g - mu_g
-    var_p = float((pc * pc).sum())
-    var_g = float((gc * gc).sum())
-    if var_g <= _DEGENERATE_EPS:
-        raise AlignmentError("target pose is degenerate: all joints coincide")
-    if var_p <= _DEGENERATE_EPS:
-        raise AlignmentError("predicted pose is degenerate: all joints coincide")
-    u, s, vt = np.linalg.svd(gc.T @ pc)
-    flips = np.ones(3)
-    if not allow_reflection and np.linalg.det(u @ vt) < 0:
-        flips[-1] = -1.0
-    rotation = u @ np.diag(flips) @ vt
-    scale = float((s * flips).sum()) / var_p
-    if scale <= 0:
+    var_p = (pc * pc).sum(axis=(1, 2))
+    var_g = (gc * gc).sum(axis=(1, 2))
+    for name, var in (("target", var_g), ("predicted", var_p)):
+        if (var <= _DEGENERATE_EPS).any():
+            k = int(np.argmax(var <= _DEGENERATE_EPS))
+            raise AlignmentError(f"{name} pose {k} is degenerate: all joints coincide")
+    u, s, vt = np.linalg.svd(gc.transpose(0, 2, 1) @ pc)
+    flips = np.ones_like(s)
+    if not allow_reflection:
+        flips[np.linalg.det(u @ vt) < 0, -1] = -1.0
+    rotation = (u * flips[:, None, :]) @ vt
+    scale = (s * flips).sum(axis=1) / var_p
+    if (scale <= 0).any():
         raise AlignmentError("optimal scale is not positive; poses are degenerate")
-    translation = mu_g - scale * (rotation @ mu_p)
-    return scale * (p @ rotation.T) + translation
+    scale = scale[:, None, None]
+    translation = mu_g - scale * (rotation @ mu_p.transpose(0, 2, 1)).transpose(0, 2, 1)
+    aligned = scale * (p @ rotation.transpose(0, 2, 1)) + translation
+    return aligned[0] if single else aligned
 
 
 def pa_mpjpe(pred, gt, allow_reflection: bool = False) -> float:
-    """MPJPE after per-sample Procrustes alignment of pred onto gt."""
+    """MPJPE after per-pose Procrustes alignment of pred onto gt."""
     p, g = _paired(pred, gt)
-    errors = [
-        mpjpe(procrustes_align(p[i], g[i], allow_reflection=allow_reflection), g[i])
-        for i in range(p.shape[0])
-    ]
-    return float(np.mean(errors))
+    return float(_pose_errors(procrustes_align(p, g, allow_reflection=allow_reflection), g).mean())
 
 
 def pck(pred, gt, threshold: float = DEFAULT_PCK_THRESHOLD) -> float:
@@ -178,29 +180,25 @@ def metric_report(
     thresholds=None,
 ) -> MetricReport:
     """Group per-sample poses by action label and aggregate all four metrics."""
-    preds = [np.asarray(p, dtype=np.float64) for p in preds]
-    gts = [np.asarray(g, dtype=np.float64) for g in gts]
-    actions = list(actions)
+    preds = np.asarray(preds, dtype=np.float64)
+    gts = np.asarray(gts, dtype=np.float64)
+    actions = np.asarray(actions, dtype=str)
     if not (len(preds) == len(gts) == len(actions)):
         raise ValueError("preds, gts, and actions must have equal lengths")
-    if not preds:
+    if not len(actions):
         raise ValueError("metric report needs at least one sample")
 
-    def build(label: str, idx: list[int]) -> MetricRow:
-        p = np.stack([preds[i] for i in idx])
-        g = np.stack([gts[i] for i in idx])
+    def build(label: str, idx) -> MetricRow:
+        p, g = preds[idx], gts[idx]
         return MetricRow(
             action=label,
             mpjpe=mpjpe(p, g),
             pa_mpjpe=pa_mpjpe(p, g),
             pck=pck(p, g, threshold),
             auc=auc(p, g, thresholds),
-            n=len(idx),
+            n=len(p),
         )
 
-    by_action: dict[str, list[int]] = {}
-    for i, a in enumerate(actions):
-        by_action.setdefault(str(a), []).append(i)
-    rows = tuple(build(a, by_action[a]) for a in sorted(by_action))
-    overall = build("all", list(range(len(preds))))
-    return MetricReport(rows, overall)
+    labels, groups = np.unique(actions, return_inverse=True)
+    rows = tuple(build(str(a), np.flatnonzero(groups == i)) for i, a in enumerate(labels))
+    return MetricReport(rows, build("all", slice(None)))

@@ -22,7 +22,6 @@ __all__ = [
     "hop_distances",
     "k_adjacency",
     "normalize_adjacency",
-    "adjacency_power",
     "disentangled_adjacencies",
     "sparsity_report",
     "skeleton_to_document",
@@ -160,16 +159,6 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
         raise SkeletonError(f"row {dead} has zero degree; cannot normalize")
     inv_sqrt = 1.0 / np.sqrt(degrees)
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def adjacency_power(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """k-th matrix power; ``k = 0`` gives the identity."""
-    a = np.asarray(adjacency, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise SkeletonError(f"adjacency must be square, got shape {a.shape}")
-    if k < 0:
-        raise SkeletonError(f"power must be nonnegative, got {k}")
-    return np.linalg.matrix_power(a, k)
 
 
 @dataclass(frozen=True)

@@ -155,19 +155,6 @@ class AmsGrad:
             p.data = p.data - lr * (m / correct1) / (np.sqrt(self.v_max[name]) + self.eps)
 
 
-def _safe_pa_mpjpe(pred, gt) -> float:
-    """Alignment metric for progress logging; nan when the pose is degenerate.
-
-    A collapsed prediction (all joints coincide) has no defined similarity
-    alignment.  That can happen transiently at high learning rates and is not
-    a training failure, so the epoch metric records nan instead of raising.
-    """
-    try:
-        return pa_mpjpe(pred, gt)
-    except AlignmentError:
-        return float("nan")
-
-
 @dataclass(frozen=True)
 class HistoryRow:
     """One epoch of training: loss on the shuffled batches, metrics on the split."""
@@ -186,16 +173,16 @@ def history_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def predict_dataset(net: MgtNet, dataset: PoseDataset, stats: Standardizer) -> list[np.ndarray]:
-    """Deterministic forward pass over every sample; returns (N, 3) arrays.
+def predict_dataset(net: MgtNet, dataset: PoseDataset, stats: Standardizer) -> np.ndarray:
+    """Deterministic forward pass over every sample; returns (S, N, 3) poses.
 
     Runs one batched forward per ``PREDICT_CHUNK`` poses.
     """
-    ready = [s.inputs for s in standardize(dataset, stats)]
-    preds: list[np.ndarray] = []
+    ready = standardize(dataset, stats).inputs
+    preds = np.empty((len(ready), dataset.n_joints, 3))
     for start in range(0, len(ready), PREDICT_CHUNK):
-        chunk = np.stack(ready[start : start + PREDICT_CHUNK])
-        preds.extend(net.forward(Tensor(chunk), train=False).data)
+        chunk = slice(start, start + PREDICT_CHUNK)
+        preds[chunk] = net.forward(Tensor(ready[chunk]), train=False).data
     return preds
 
 
@@ -209,8 +196,9 @@ def train(
 
     Inputs are standardized with statistics fitted on ``dataset`` (unless
     disabled), and the fitted transform rides along in the checkpoint.  The
-    epoch metrics are evaluated on the training split itself.  A non-finite
-    loss or gradient aborts with ``DivergenceError``.
+    epoch metrics are evaluated on the training split itself; the epoch
+    PA-MPJPE is nan when any pose of the split cannot be aligned.  A
+    non-finite loss or gradient aborts with ``DivergenceError``.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -222,9 +210,8 @@ def train(
     stats = (
         compute_standardizer(dataset) if config.standardize else Standardizer.identity(dataset.n_joints)
     )
-    ready = standardize(dataset, stats)
-    inputs = np.stack([s.inputs for s in ready])
-    targets = np.stack([s.target for s in ready])
+    inputs = standardize(dataset, stats).inputs
+    targets = dataset.targets
     count = len(inputs)
 
     params = net.parameters()
@@ -252,15 +239,19 @@ def train(
             optimizer.step(lr)
             loss_total += loss_value * len(batch)
         predictions = predict_dataset(net, dataset, stats)
-        gts = [s.target for s in dataset]
-        pa_values = np.array([_safe_pa_mpjpe(p, g) for p, g in zip(predictions, gts)])
-        aligned = pa_values[np.isfinite(pa_values)]
+        try:
+            pa_error = pa_mpjpe(predictions, targets)
+        except AlignmentError:
+            # A collapsed prediction (all joints coincide) has no defined
+            # alignment.  That can happen transiently at high learning rates
+            # and is not a training failure, so the epoch records nan.
+            pa_error = float("nan")
         row = HistoryRow(
             epoch=epoch + 1,
             lr=lr,
             train_loss=loss_total / count,
-            eval_mpjpe=float(np.mean([mpjpe(p, g) for p, g in zip(predictions, gts)])),
-            eval_pa_mpjpe=float(aligned.mean()) if aligned.size else float("nan"),
+            eval_mpjpe=mpjpe(predictions, targets),
+            eval_pa_mpjpe=pa_error,
         )
         history.append(row)
         log.info(

@@ -138,6 +138,34 @@ def test_alignment_degenerate_poses_raise():
         procrustes_align(np.zeros((4, 3)), np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("count", [1, 7, 256])
+def test_batched_metrics_equal_the_per_pose_loop(count):
+    rng = np.random.default_rng(count)
+    pred = rng.standard_normal((count, 17, 3)) * 100.0
+    gt = rng.standard_normal((count, 17, 3)) * 100.0
+    pred[-1] = gt[-1] * np.array([1.0, 1.0, -1.0])  # a reflection: takes the det < 0 flip
+    for reflect in (False, True):
+        aligned = procrustes_align(pred, gt, allow_reflection=reflect)
+        per_pose = [procrustes_align(p, g, allow_reflection=reflect) for p, g in zip(pred, gt)]
+        np.testing.assert_array_equal(aligned, np.stack(per_pose))
+        errors = [pa_mpjpe(p, g, allow_reflection=reflect) for p, g in zip(pred, gt)]
+        assert pa_mpjpe(pred, gt, allow_reflection=reflect) == np.mean(errors)
+    assert mpjpe(pred, gt) == np.mean([mpjpe(p, g) for p, g in zip(pred, gt)])
+
+
+def test_batched_alignment_with_one_degenerate_pose_raises():
+    rng = np.random.default_rng(10)
+    pred = rng.standard_normal((5, 17, 3))
+    gt = rng.standard_normal((5, 17, 3))
+    gt[3] = 0.0
+    with pytest.raises(AlignmentError, match="target pose 3"):
+        procrustes_align(pred, gt)
+    with pytest.raises(AlignmentError):
+        pa_mpjpe(pred, gt)
+    with pytest.raises(AlignmentError, match="predicted pose 3"):
+        pa_mpjpe(gt + 1.0, pred)  # every joint of pose 3 at (1, 1, 1)
+
+
 def test_pa_mpjpe_invariant_to_similarity_and_bounded_by_mpjpe():
     rng = np.random.default_rng(6)
     gt = random_pose(rng)

@@ -7,7 +7,6 @@ import pytest
 from mgtnet.skeleton import (
     SkeletonError,
     SkeletonGraph,
-    adjacency_power,
     disentangled_adjacencies,
     hop_distances,
     human36m_skeleton,
@@ -201,14 +200,6 @@ def test_normalize_adjacency_errors():
         normalize_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(SkeletonError):
         normalize_adjacency(np.zeros((2, 2)))  # zero degree
-
-
-def test_adjacency_power_values():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(adjacency_power(a, 0), np.eye(2))
-    np.testing.assert_array_equal(adjacency_power(a, 3), a)
-    with pytest.raises(SkeletonError):
-        adjacency_power(a, -1)
 
 
 def test_disentangled_adjacencies_stack():

@@ -333,11 +333,32 @@ def test_predict_dataset_matches_manual_forward():
     net = toy_model()
     stats = Standardizer.identity(17)
     preds = predict_dataset(net, data, stats)
-    assert len(preds) == count
+    assert preds.shape == (count, 17, 3)
     for sample, pred in zip(data, preds):
         np.testing.assert_array_equal(
             pred, net.forward(Tensor(sample.inputs), train=False).data
         )
+
+
+def test_predict_dataset_on_an_empty_set():
+    from mgtnet.data import PoseDataset, Standardizer
+
+    empty = PoseDataset(human36m_skeleton(), 3, [])
+    preds = predict_dataset(toy_model(), empty, Standardizer.identity(17))
+    assert preds.shape == (0, 17, 3)
+
+
+def test_epoch_pa_mpjpe_is_nan_when_a_pose_cannot_be_aligned():
+    from mgtnet.data import PoseDataset
+
+    data = synthesize(human36m_skeleton(), count=4, frames=3, seed=25)
+    targets = data.targets.copy()
+    targets[2] = 0.0  # all joints coincide: no similarity alignment exists
+    data = PoseDataset.from_arrays(data.skeleton, data.inputs, targets, data.actions, data.unit)
+    history = train(toy_model(), data, TrainConfig(epochs=2, batch_size=2, lr0=0.01))
+    for row in history:
+        assert np.isnan(row.eval_pa_mpjpe)
+        assert np.isfinite(row.eval_mpjpe)
 
 
 def test_train_memorizes_single_sample():
