@@ -113,13 +113,13 @@ def pck(pred, gt, threshold: float = DEFAULT_PCK_THRESHOLD) -> float:
 
 
 def auc(pred, gt, thresholds=None) -> float:
-    """Mean PCK over an increasing threshold grid (default 0..150 step 5)."""
-    grid = DEFAULT_AUC_GRID if thresholds is None else tuple(float(t) for t in thresholds)
-    if len(grid) == 0:
-        raise ValueError("threshold grid must be nonempty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("threshold grid must be strictly increasing")
-    return float(np.mean([pck(pred, gt, t) for t in grid]))
+    """Mean PCK over an increasing threshold grid (default 0..150 step 5), counted as ``pck``."""
+    grid = np.asarray(DEFAULT_AUC_GRID if thresholds is None else thresholds, dtype=np.float64)
+    if grid.size == 0 or not grid[0] >= 0 or not (np.diff(grid) > 0).all():
+        raise ValueError(f"threshold grid must be nonempty, nonnegative and increasing: {grid}")
+    p, g = _paired(pred, gt)
+    errors = np.sort(np.linalg.norm(p - g, axis=-1), axis=None)
+    return float(np.mean(np.searchsorted(errors, grid, side="right") / errors.size))
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,7 @@ class MgtNet:
     def forward(self, sample, train: bool = False, rng=None) -> Tensor:
         """Lift one sample (N, 2, T) to an (N, 3) pose, or a batch (B, N, 2, T) to (B, N, 3).
 
-        A batch gives, bit for bit, the poses of one forward per sample, and
+        A batch gives, to rounding, the poses of one forward per sample, and
         its backward the gradients of those forwards joined by ``la.stack``.
         With dropout, a batch draws one mask per layer for all its samples.
         Training fits the output to root-relative targets, but the root joint

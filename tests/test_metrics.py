@@ -151,6 +151,11 @@ def test_batched_metrics_equal_the_per_pose_loop(count):
         errors = [pa_mpjpe(p, g, allow_reflection=reflect) for p, g in zip(pred, gt)]
         assert pa_mpjpe(pred, gt, allow_reflection=reflect) == np.mean(errors)
     assert mpjpe(pred, gt) == np.mean([mpjpe(p, g) for p, g in zip(pred, gt)])
+    # auc counts every joint error against the whole grid at once; the
+    # reference is the mean of one pck per threshold, bit for bit
+    ties = np.unique(np.linalg.norm(pred - gt, axis=-1))[:: max(1, count // 2)]
+    for grid in (DEFAULT_AUC_GRID, ties):
+        assert auc(pred, gt, grid) == float(np.mean([pck(pred, gt, t) for t in grid]))
 
 
 def test_batched_alignment_with_one_degenerate_pose_raises():
@@ -204,6 +209,8 @@ def test_auc_hand_case():
         auc(pred, gt, thresholds=())
     with pytest.raises(ValueError):
         auc(pred, gt, thresholds=(10.0, 10.0))
+    with pytest.raises(ValueError):
+        auc(pred, gt, thresholds=(-5.0, 10.0))
 
 
 def test_default_grid_is_paper_protocol():

@@ -17,6 +17,7 @@ from mgtnet.model import (
 )
 from mgtnet.skeleton import human36m_skeleton
 from mgtnet.training import elastic_loss
+from test_linalg import assert_close_at_scale
 
 TOY = ModelConfig(
     n_joints=17, frames=3, hidden=8, depth=2, heads=2, max_hop=2, dropout=0.0
@@ -254,7 +255,7 @@ def test_every_parameter_reaches_the_loss():
 def assert_batched_step_matches_stacked(net, batch, seed):
     """Run one loss and backward as one batched forward and as per-sample
     forwards joined by ``stack``: outputs and every parameter gradient must
-    be equal bit for bit."""
+    agree within 1e-12 of each array's largest magnitude."""
     rng = np.random.default_rng(seed)
     cfg = net.config
     inputs = rng.standard_normal((batch, cfg.n_joints, 2, cfg.frames))
@@ -272,10 +273,10 @@ def assert_batched_step_matches_stacked(net, batch, seed):
         tape.backward(loss)
         sides.append((preds.data, [p.grad for _, p in params]))
     (out, grads), (ref_out, ref_grads) = sides
-    np.testing.assert_array_equal(out, ref_out)
+    assert_close_at_scale(out, ref_out)
     for (name, _), grad, ref in zip(params, grads, ref_grads):
         assert grad is not None, name
-        np.testing.assert_array_equal(grad, ref, err_msg=name)
+        assert_close_at_scale(grad, ref, err_msg=name)
 
 
 @pytest.mark.parametrize("batch", (1, 3, 9))
@@ -284,12 +285,12 @@ def assert_batched_step_matches_stacked(net, batch, seed):
     ({}, {"kernel_half_width": 0, "gconv_mode": "highorder", "max_hop": 0}),
     ids=("toy", "toy-1x1-highorder-0hop"),
 )
-def test_batched_step_is_bitwise_equal_to_stacked_samples(batch, overrides):
+def test_batched_step_matches_stacked_samples(batch, overrides):
     net = toy_net(seed=batch, **overrides)
     assert_batched_step_matches_stacked(net, batch, seed=batch)
 
 
-def test_batched_step_is_bitwise_equal_to_stacked_samples_at_gt_ablation_width():
+def test_batched_step_matches_stacked_samples_at_gt_ablation_width():
     config = ModelConfig(hidden=128, dropout=0.0)
     net = MgtNet(config, human36m_skeleton(), seed=3)
     assert_batched_step_matches_stacked(net, batch=8, seed=8)
