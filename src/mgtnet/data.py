@@ -368,6 +368,11 @@ class Standardizer:
     std: np.ndarray
 
     def apply(self, inputs: np.ndarray) -> np.ndarray:
+        """Standardize (N, 2, T) or (S, N, 2, T) inputs into a new array."""
+        if not self.mean.shape == self.std.shape == inputs.shape[-3:-1]:
+            raise DataFormatError(
+                f"standardizer shape {self.mean.shape} does not match inputs of shape {inputs.shape}"
+            )
         return (inputs - self.mean[:, :, None]) / self.std[:, :, None]
 
     @classmethod
@@ -395,10 +400,6 @@ def compute_standardizer(dataset: PoseDataset) -> Standardizer:
 
 def standardize(dataset: PoseDataset, stats: Standardizer) -> PoseDataset:
     """Apply a fitted input transform; targets pass through untouched."""
-    if stats.mean.shape != (dataset.n_joints, 2) or stats.std.shape != (dataset.n_joints, 2):
-        raise DataFormatError(
-            f"standardizer shape {stats.mean.shape} does not match {dataset.n_joints} joints"
-        )
     return PoseDataset.from_arrays(
         dataset.skeleton, stats.apply(dataset.inputs), dataset.targets, dataset.actions, dataset.unit
     )

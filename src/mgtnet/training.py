@@ -35,6 +35,11 @@ log = logging.getLogger("mgtnet.training")
 # Poses lifted by one batched forward in ``predict_dataset``.
 PREDICT_CHUNK = 64
 
+# Values per block of the AMSGrad update: its two float64 scratch blocks
+# (512 KB each) stay in a core's L2 cache, where temporaries over a
+# paper-scale buffer (4.3M values) would not.
+BLOCK = 65536
+
 LOSS_MODES = ("pose_sum", "joint_mean")
 
 
@@ -112,47 +117,103 @@ def elastic_loss(pred, target, alpha: float, mode: str = "pose_sum") -> Tensor:
 class AmsGrad:
     """AMSGrad: Adam with a nondecreasing second-moment cap, bias-corrected.
 
-    Buffers are keyed by parameter name and updated in place from each
-    tensor's ``grad``.  Betas and epsilon are fixed at construction.
+    The constructor copies every parameter into one contiguous float64
+    buffer and rebinds each ``p.data`` to its view of that buffer; ``m``,
+    ``v`` and ``v_max`` are flat buffers of the same length, and
+    ``m[name]``, ``v[name]`` and ``v_max[name]`` are views into them.
+    ``step`` gathers the gradients into one more buffer, so a non-finite
+    gradient raises before any state moves.  It then updates in place,
+    ``BLOCK`` values at a time through two scratch blocks that stay in
+    cache; a second-moment overflow raises in the block where it occurs.
+    Every element goes through the same IEEE operations in the same order
+    as a per-tensor update, so the step is bit for bit the same.  A
+    parameter whose ``data`` is rebound after adoption would no longer be
+    trained, so ``step`` rejects it.  Betas and epsilon are fixed at
+    construction.
     """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = [(name, p) for name, p in params]
+        if not self.params:
+            raise la.ContractError("optimizer needs at least one parameter")
         if not all(p.requires_grad for _, p in self.params):
             raise la.ContractError("optimizer parameters must require gradients")
+        seen = set()
+        for name, p in self.params:
+            if id(p) in seen:
+                raise la.ContractError(f"parameter {name!r} is listed twice")
+            seen.add(id(p))
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.steps = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v_max = {name: np.zeros_like(p.data) for name, p in self.params}
+        self._offsets = np.cumsum([0] + [p.size for _, p in self.params])
+        total = int(self._offsets[-1])
+        self._flat = np.concatenate([p.data for _, p in self.params], axis=None)
+        # one allocation, so that the first step faults in fresh pages of one
+        # mapping rather than of four
+        self._grad, self._m, self._v, self._v_max = np.zeros((4, total))
+        self._views = []
+        self.m, self.v, self.v_max = {}, {}, {}
+        for (name, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:]):
+            p.data = self._flat[a:b].reshape(p.shape)
+            self._views.append(p.data)
+            self.m[name] = self._m[a:b].reshape(p.shape)
+            self.v[name] = self._v[a:b].reshape(p.shape)
+            self.v_max[name] = self._v_max[a:b].reshape(p.shape)
+        # per block: its offset, its slices of the five buffers, two scratch slices
+        bufs = (self._grad, self._m, self._v, self._v_max, self._flat)
+        scratch = np.empty((2, min(BLOCK, total)))
+        self._blocks = []
+        for a in range(0, total, BLOCK):
+            n = min(BLOCK, total - a)
+            self._blocks.append((a, *(buf[a : a + n] for buf in bufs), scratch[0, :n], scratch[1, :n]))
+
+    def _name_at(self, offset: int) -> str:
+        return self.params[int(np.searchsorted(self._offsets, offset, side="right")) - 1][0]
 
     def step(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
+        grads = []
+        for (name, p), view in zip(self.params, self._views):
+            if p.data is not view:
+                raise la.ContractError(
+                    f"parameter {name!r} was rebound after the optimizer adopted it"
+                )
+            if p.grad is None:
+                raise la.ContractError(f"parameter {name!r} has no gradient")
+            grads.append(p.grad)
+        np.concatenate(grads, axis=None, out=self._grad)
+        finite = np.isfinite(self._grad)
+        if not finite.all():
+            bad = self._name_at(int(np.argmin(finite)))
+            raise DivergenceError(f"non-finite gradient in parameter {bad!r}")
         self.steps += 1
         correct1 = 1.0 - self.beta1**self.steps
         correct2 = 1.0 - self.beta2**self.steps
-        for name, p in self.params:
-            grad = p.grad
-            if grad is None:
-                raise la.ContractError(f"parameter {name!r} has no gradient")
-            if not np.isfinite(grad).all():
-                raise DivergenceError(f"non-finite gradient in parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
+        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        for start, g, m, v, v_max, p, s, t in self._blocks:
+            np.multiply(m, beta1, out=m)
+            np.multiply(g, 1.0 - beta1, out=s)
+            np.add(m, s, out=m)
+            np.multiply(v, beta2, out=v)
+            np.multiply(g, 1.0 - beta2, out=s)
             with np.errstate(over="ignore"):
-                v += (1.0 - self.beta2) * grad * grad
-            if not np.isfinite(v).all():
-                # grad was finite but grad**2 overflowed; updates would stall at 0
-                raise DivergenceError(f"second-moment overflow in parameter {name!r}")
-            v_hat = v / correct2
-            np.maximum(self.v_max[name], v_hat, out=self.v_max[name])
-            p.data = p.data - lr * (m / correct1) / (np.sqrt(self.v_max[name]) + self.eps)
+                np.multiply(s, g, out=s)
+                np.add(v, s, out=v)
+            if v.max() == np.inf:
+                # g was finite but g**2 overflowed; updates would stall at 0
+                bad = self._name_at(start + int(np.argmax(v)))
+                raise DivergenceError(f"second-moment overflow in parameter {bad!r}")
+            np.divide(v, correct2, out=s)
+            np.maximum(v_max, s, out=v_max)
+            np.divide(m, correct1, out=s)
+            np.multiply(s, lr, out=s)
+            np.sqrt(v_max, out=t)
+            np.add(t, eps, out=t)
+            np.divide(s, t, out=s)
+            np.subtract(p, s, out=p)
 
 
 @dataclass(frozen=True)
@@ -178,7 +239,7 @@ def predict_dataset(net: MgtNet, dataset: PoseDataset, stats: Standardizer) -> n
 
     Runs one batched forward per ``PREDICT_CHUNK`` poses.
     """
-    ready = standardize(dataset, stats).inputs
+    ready = stats.apply(dataset.inputs)
     preds = np.empty((len(ready), dataset.n_joints, 3))
     for start in range(0, len(ready), PREDICT_CHUNK):
         chunk = slice(start, start + PREDICT_CHUNK)

@@ -10,6 +10,7 @@ from mgtnet.linalg import Tape, Tensor
 from mgtnet.model import MgtNet, ModelConfig, load_checkpoint
 from mgtnet.skeleton import human36m_skeleton
 from mgtnet.training import (
+    BLOCK,
     PREDICT_CHUNK,
     AmsGrad,
     DivergenceError,
@@ -206,6 +207,94 @@ def test_amsgrad_contract_errors():
     p.grad = np.ones(2)
     with pytest.raises(ValueError):
         opt.step(0.0)
+    with pytest.raises(la.ContractError):
+        AmsGrad([])
+
+
+def test_amsgrad_second_moment_overflow_names_the_parameter():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+    a.grad = np.ones(2)
+    b.grad = np.array([1.0, 1e200, 1.0])  # finite, but its square is not
+    with pytest.raises(DivergenceError, match="second-moment overflow in parameter 'b'"):
+        opt.step(0.1)
+
+
+def test_amsgrad_divergence_leaves_state_untouched():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    b = Tensor(rng.standard_normal(7), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+    a.grad = rng.standard_normal((4, 5))
+    b.grad = rng.standard_normal(7)
+    opt.step(0.1)
+    before = [x.copy() for x in (a.data, opt.m["a"], opt.v["a"], opt.v_max["a"])]
+    a.grad = rng.standard_normal((4, 5))
+    b.grad = np.full(7, 2.0)
+    b.grad[3] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite gradient in parameter 'b'"):
+        opt.step(0.1)
+    assert opt.steps == 1
+    for old, new in zip(before, (a.data, opt.m["a"], opt.v["a"], opt.v_max["a"])):
+        np.testing.assert_array_equal(old, new)
+
+
+def test_amsgrad_rejects_a_rebound_parameter():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+    b.data = b.data + 1.0  # the optimizer would keep training the old buffer
+    a.grad = np.ones(2)
+    b.grad = np.ones(3)
+    with pytest.raises(la.ContractError, match="'b'"):
+        opt.step(0.1)
+
+
+def test_amsgrad_rejects_a_parameter_listed_twice():
+    a = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(la.ContractError, match="'again'"):
+        AmsGrad([("a", a), ("again", a)])
+
+
+def test_amsgrad_flat_blocked_update_equals_the_per_tensor_update():
+    # mixed shapes over more than one block; the second tensor straddles the
+    # first block boundary
+    shapes = [(40000,), (150, 200), (7, 11, 13), (3,), (1, 1)]
+    assert sum(np.prod(s) for s in shapes) > BLOCK
+    rng = np.random.default_rng(8)
+    params = [(f"p{i}", Tensor(rng.standard_normal(s), requires_grad=True)) for i, s in enumerate(shapes)]
+    ref = {name: p.data.copy() for name, p in params}
+    ref_m = {name: np.zeros(p.shape) for name, p in params}
+    ref_v = {name: np.zeros(p.shape) for name, p in params}
+    ref_v_max = {name: np.zeros(p.shape) for name, p in params}
+    opt = AmsGrad(params)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 21):
+        lr = 0.01 * 0.9**t
+        correct1 = 1.0 - beta1**t
+        correct2 = 1.0 - beta2**t
+        for name, p in params:
+            grad = rng.standard_normal(p.shape) * 10.0 ** rng.uniform(-3.0, 3.0, p.shape)
+            p.grad = grad
+            # the per-tensor update, operation for operation
+            m, v = ref_m[name], ref_v[name]
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            np.maximum(ref_v_max[name], v / correct2, out=ref_v_max[name])
+            ref[name] = ref[name] - lr * (m / correct1) / (np.sqrt(ref_v_max[name]) + eps)
+        opt.step(lr)
+    # every parameter is a view of one buffer, not an array of its own
+    buffer = params[0][1].data.base
+    assert buffer is not None and buffer.size == sum(p.size for _, p in params)
+    for name, p in params:
+        assert np.shares_memory(p.data, buffer)
+        np.testing.assert_array_equal(p.data, ref[name])
+        np.testing.assert_array_equal(opt.m[name], ref_m[name])
+        np.testing.assert_array_equal(opt.v[name], ref_v[name])
+        np.testing.assert_array_equal(opt.v_max[name], ref_v_max[name])
 
 
 def test_amsgrad_state_tracks_parameters():
