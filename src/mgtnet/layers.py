@@ -40,10 +40,6 @@ def _check_activation(activation: str) -> str:
     return activation
 
 
-def _apply_activation(x: Tensor, activation: str) -> Tensor:
-    return la.relu(x) if activation == "relu" else x
-
-
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     """Uniform Glorot sample for a weight of the given fan and shape."""
     bound = math.sqrt(6.0 / (fan_in + fan_out))
@@ -105,13 +101,9 @@ class MultiHopGConvLayer:
             raise la.ShapeError(
                 f"multi-hop conv expects input of shape ([B,] {n}, {self.f_in}), got {h.shape}"
             )
-        out = None
-        for adjacency, weight in zip(self.adjacencies, self.weights):
-            term = la.matmul(la.matmul(adjacency, h), weight)
-            out = term if out is None else la.add(out, term)
-        if self.bias is not None:
-            out = la.add(out, self.bias)
-        return _apply_activation(out, self.activation)
+        return la.graph_conv(
+            h, self.adjacencies, self.weights, self.bias, relu=self.activation == "relu"
+        )
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = [(f"w{k}", w) for k, w in enumerate(self.weights)]
@@ -172,8 +164,9 @@ class LamGConvLayer:
             raise la.ShapeError(
                 f"lam conv expects input of shape ([B,] {n}, {self.width}), got {h.shape}"
             )
-        out = la.matmul(la.matmul(self.adjacency, h), self.weight)
-        return _apply_activation(out, self.activation)
+        return la.graph_conv(
+            h, [self.adjacency], [self.weight], relu=self.activation == "relu"
+        )
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("adj", self.adjacency), ("w", self.weight)]
@@ -209,14 +202,9 @@ class MultiHeadSelfAttention:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim not in (2, 3) or x.shape[-1] != self.width:
             raise la.ShapeError(f"attention expects ([B,] *, {self.width}) input, got {x.shape}")
-        outputs = []
-        for i in range(self.heads):
-            q = la.matmul(x, self.w_query[i])
-            k = la.matmul(x, self.w_key[i])
-            v = la.matmul(x, self.w_value[i])
-            scores = la.scale(la.matmul(q, la.transpose(k)), self._inv_sqrt_dim)
-            outputs.append(la.matmul(la.softmax_rows(scores), v))
-        return la.matmul(la.concat(outputs), self.w_out)
+        return la.self_attention(
+            x, self.w_query, self.w_key, self.w_value, self.w_out, self._inv_sqrt_dim
+        )
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = []

@@ -12,6 +12,17 @@ GEMM over the rows of all samples, and a gradient that reaches an operand
 without the batch axis (a weight, a bias, a kernel) is one sum over it.  So
 a batch agrees with a tape of per-sample forwards joined by ``stack`` within
 rounding (about 1e-12 of each array's largest magnitude), not bit for bit.
+
+Two fused ops, ``graph_conv`` and ``self_attention``, each write one tape
+record for a whole layer and carry a hand-written backward.  They are bit
+for bit the composition of primitives they replace, forward and every
+gradient, by three rules: they run the same array expressions on arrays of
+the same layout in the same order (the product and softmax rules live in
+private helpers that ``matmul`` and ``softmax_rows`` call too); they list an
+input once per internal use, in the order a reverse sweep over the
+composition reaches it, so ``Tape.backward`` adds its gradients in the same
+order; and they keep backward state only while a tape records.  The
+primitives stay as the reference the tests compare the fused ops against.
 """
 from __future__ import annotations
 
@@ -46,6 +57,8 @@ __all__ = [
     "softmax_rows",
     "layer_norm",
     "dilated_conv2d",
+    "graph_conv",
+    "self_attention",
     "grad_check",
     "grad_check_params",
     "zero_grads",
@@ -65,6 +78,9 @@ class EvaluationError(RuntimeError):
 
 
 _DEBUG = False
+
+# Grid values per block of the dilated convolution's forward sum.
+_CONV_BLOCK = 16384
 
 
 def set_debug(enabled: bool) -> None:
@@ -302,6 +318,29 @@ def absolute(a) -> Tensor:
     return _emit(np.abs(a.data), (a,), rule, "absolute")
 
 
+def _matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product rule of ``matmul`` on arrays: a batch times a shared right
+    operand is one GEMM over the folded rows, every other form is ``np.matmul``."""
+    if a.ndim == 3 and b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    return np.matmul(a, b)
+
+
+def _matmul_backward(a: np.ndarray, b: np.ndarray, g: np.ndarray, need_a: bool, need_b: bool):
+    """Gradients of ``_matmul_forward(a, b)`` for output gradient ``g``, each
+    ``None`` unless asked for.  The folded form's are one GEMM each way."""
+    if a.ndim == 3 and b.ndim == 2:
+        g_rows = g.reshape(-1, g.shape[-1])
+        return (
+            (g_rows @ b.T).reshape(a.shape) if need_a else None,
+            a.reshape(-1, a.shape[-1]).T @ g_rows if need_b else None,
+        )
+    return (
+        _unbroadcast(np.matmul(g, np.swapaxes(b, -1, -2)), a.shape) if need_a else None,
+        _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape) if need_b else None,
+    )
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product, optionally over a leading batch axis.
 
@@ -319,31 +358,11 @@ def matmul(a, b) -> Tensor:
     if a.ndim == b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul batch sizes disagree: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
-    if a.ndim == 3 and b.ndim == 2:
-        # the closure keeps the tape's own arrays and reshapes them when it runs
-        k = a.shape[-1]
-        out = (a_data.reshape(-1, k) @ b_data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def rule(g):
-            g_rows = g.reshape(-1, g.shape[-1])
-            return (
-                (g_rows @ b_data.T).reshape(a.shape) if a.requires_grad else None,
-                a_data.reshape(-1, k).T @ g_rows if b.requires_grad else None,
-            )
-
-        return _emit(out, (a, b), rule, "matmul")
 
     def rule(g):
-        return (
-            _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a.shape)
-            if a.requires_grad
-            else None,
-            _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b.shape)
-            if b.requires_grad
-            else None,
-        )
+        return _matmul_backward(a_data, b_data, g, a.requires_grad, b.requires_grad)
 
-    return _emit(np.matmul(a_data, b_data), (a, b), rule, "matmul")
+    return _emit(_matmul_forward(a_data, b_data), (a, b), rule, "matmul")
 
 
 def concat(tensors) -> Tensor:
@@ -456,18 +475,28 @@ def tensor_sum(a, axis=None) -> Tensor:
     return _emit(a.data.sum(axis=axis), (a,), rule, "sum")
 
 
+def _softmax_forward(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, stabilized by row-max subtraction."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient through softmax output ``p``: ``p * (g - sum(g * p))`` per row."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
+
+
 def softmax_rows(a) -> Tensor:
     """Softmax over the last axis, stabilized by row-max subtraction."""
     a = as_tensor(a)
     if a.ndim < 2:
         raise ShapeError(f"softmax_rows needs at least 2 axes, got {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=-1, keepdims=True)
+    out = _softmax_forward(a.data)
 
     def rule(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        return (_softmax_backward(out, g),)
 
     return _emit(out, (a,), rule, "softmax_rows")
 
@@ -543,9 +572,19 @@ def dilated_conv2d(a, kernel, dilation: int) -> Tensor:
         for r in range(taps)
         for s in range(taps)
     ]
+    # the taps accumulate in place, a block of grids at a time through one
+    # scratch block that stays in cache, in the same order from the same zeros
     out = np.zeros_like(a.data)
-    for r, s, window in windows:
-        out += k[r, s] * padded[window]
+    outs = out.reshape(-1, rows, cols)
+    pads = padded.reshape((-1,) + padded.shape[-2:])
+    per = max(1, _CONV_BLOCK // (rows * cols))
+    scratch = np.empty((min(per, len(outs)), rows, cols))
+    for start in range(0, len(outs), per):
+        o = outs[start : start + per]
+        t = scratch[: len(o)]
+        for r, s, window in windows:
+            np.multiply(pads[start : start + per][window], k[r, s], out=t)
+            o += t
 
     def rule(g):
         d_padded = np.zeros_like(padded) if a.requires_grad else None
@@ -559,6 +598,167 @@ def dilated_conv2d(a, kernel, dilation: int) -> Tensor:
         return (d_a, d_kernel)
 
     return _emit(out, (a, kernel), rule, "dilated_conv2d")
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one tape record each, bit for bit the composition they replace
+
+
+def _recording(inputs) -> bool:
+    """Whether an op on ``inputs`` is recorded, and so must keep backward state."""
+    return bool(_TAPE_STACK) and any(t.requires_grad for t in inputs)
+
+
+def graph_conv(h, adjacencies, weights, bias=None, relu: bool = False) -> Tensor:
+    """Graph convolution ``sum_k (A_k @ h) @ W_k``, plus ``bias``, then an optional ReLU.
+
+    ``h`` is (N, F) or a (B, N, F) batch, each ``A_k`` an (N, N) adjacency
+    (constant or trainable) and each ``W_k`` an (F, F_out) weight.  The hop
+    terms add in order k = 0, 1, ..., and the result is bit for bit the
+    ``matmul``/``add``/``relu`` composition; the input is listed once per hop,
+    last hop first, so its gradients add up in that composition's order too.
+    """
+    h = as_tensor(h)
+    adjacencies = [as_tensor(a) for a in adjacencies]
+    weights = [as_tensor(w) for w in weights]
+    if not adjacencies or len(adjacencies) != len(weights):
+        raise ShapeError(
+            f"graph_conv needs one weight per adjacency, got {len(adjacencies)} and {len(weights)}"
+        )
+    if h.ndim not in (2, 3):
+        raise ShapeError(f"graph_conv needs a 2-d input or a batch of them, got {h.shape}")
+    n, f_in = h.shape[-2:]
+    f_out = weights[0].shape[-1]
+    for a, w in zip(adjacencies, weights):
+        if a.shape != (n, n) or w.shape != (f_in, f_out):
+            raise ShapeError(
+                f"graph_conv on {h.shape} needs ({n}, {n}) adjacencies and ({f_in}, {f_out}) "
+                f"weights, got {a.shape} and {w.shape}"
+            )
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (f_out,):
+            raise ShapeError(f"graph_conv bias shape {bias.shape} does not match width {f_out}")
+    inputs = () if bias is None else (bias,)
+    for a, w in zip(reversed(adjacencies), reversed(weights)):
+        inputs += (w, a, h)
+    keep = _recording(inputs)
+    h_data = h.data
+    hops = []
+    out = None
+    for a, w in zip(adjacencies, weights):
+        ah = _matmul_forward(a.data, h_data)
+        term = _matmul_forward(ah, w.data)
+        if out is None:
+            out = term
+        else:
+            out += term
+        if keep:
+            hops.append((a.data, ah, w.data))
+    if bias is not None:
+        out += bias.data
+    if relu:
+        mask = out > 0
+        out *= mask
+    if not keep:
+        return _emit(out, inputs, None, "graph_conv")
+
+    def rule(g):
+        if relu:
+            g = g * mask
+        grads = []
+        if bias is not None:
+            grads.append(_unbroadcast(g, bias.shape) if bias.requires_grad else None)
+        for (a_data, ah, w_data), a, w in zip(
+            reversed(hops), reversed(adjacencies), reversed(weights)
+        ):
+            need_ah = a.requires_grad or h.requires_grad
+            d_ah, d_w = _matmul_backward(ah, w_data, g, need_ah, w.requires_grad)
+            d_a, d_h = (
+                _matmul_backward(a_data, h_data, d_ah, a.requires_grad, h.requires_grad)
+                if need_ah
+                else (None, None)
+            )
+            grads += [d_w, d_a, d_h]
+        return grads
+
+    return _emit(out, inputs, rule, "graph_conv")
+
+
+def self_attention(x, wq, wk, wv, wo, factor: float) -> Tensor:
+    """Multi-head scaled dot-product self-attention over the rows of ``x``.
+
+    ``x`` is (N, F) or a (B, N, F) batch.  Head ``i`` projects ``x`` by
+    ``wq[i]``, ``wk[i]`` and ``wv[i]`` (each (F, D)), takes
+    ``softmax_rows(factor * q @ k^T) @ v``, and the heads' outputs, joined in
+    order along the last axis, are mixed by ``wo`` ((H*D, F_out)).  The
+    result is bit for bit the ``matmul``/``transpose``/``scale``/
+    ``softmax_rows``/``concat`` composition; ``x`` is listed once per
+    projection, for v, k and q of the last head first, so its gradients add
+    up in that composition's order too.
+    """
+    x, wo = as_tensor(x), as_tensor(wo)
+    wq, wk, wv = ([as_tensor(w) for w in ws] for ws in (wq, wk, wv))
+    heads = len(wq)
+    if heads < 1 or len(wk) != heads or len(wv) != heads:
+        raise ShapeError(
+            f"self_attention needs the same positive number of q, k and v weights, "
+            f"got {len(wq)}, {len(wk)} and {len(wv)}"
+        )
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"self_attention needs a 2-d input or a batch of them, got {x.shape}")
+    width = x.shape[-1]
+    dim = wq[0].shape[-1]
+    for w in (*wq, *wk, *wv):
+        if w.shape != (width, dim):
+            raise ShapeError(
+                f"self_attention on {x.shape} needs ({width}, {dim}) weights, got {w.shape}"
+            )
+    if wo.ndim != 2 or wo.shape[0] != heads * dim:
+        raise ShapeError(
+            f"self_attention output weight {wo.shape} does not take {heads * dim} inputs"
+        )
+    factor = float(factor)
+    inputs = (wo,)
+    for i in reversed(range(heads)):
+        inputs += (x, wv[i], x, wk[i], x, wq[i])
+    keep = _recording(inputs)
+    # the key transpose is a contiguous copy, as ``transpose`` makes it
+    axes = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
+    x_data = x.data
+    weights = [(q.data, k.data, v.data) for q, k, v in zip(wq, wk, wv)]
+    saved = []
+    outputs = []
+    for wq_data, wk_data, wv_data in weights:
+        q = _matmul_forward(x_data, wq_data)
+        k = _matmul_forward(x_data, wk_data)
+        v = _matmul_forward(x_data, wv_data)
+        kt = np.transpose(k, axes).copy()
+        p = _softmax_forward(_matmul_forward(q, kt) * factor)
+        outputs.append(_matmul_forward(p, v))
+        if keep:
+            saved.append((q, kt, v, p))
+    cat = np.concatenate(outputs, axis=-1)
+    wo_data = wo.data
+    out = _matmul_forward(cat, wo_data)
+    if not keep:
+        return _emit(out, inputs, None, "self_attention")
+
+    def rule(g):
+        d_cat, d_wo = _matmul_backward(cat, wo_data, g, True, wo.requires_grad)
+        grads = [d_wo]
+        for i in reversed(range(heads)):
+            q, kt, v, p = saved[i]
+            d_p, d_v = _matmul_backward(p, v, d_cat[..., i * dim : (i + 1) * dim], True, True)
+            d_scores = _softmax_backward(p, d_p) * factor
+            d_q, d_kt = _matmul_backward(q, kt, d_scores, True, True)
+            for d, w, w_data in zip(
+                (d_v, np.transpose(d_kt, axes), d_q), (wv[i], wk[i], wq[i]), reversed(weights[i])
+            ):
+                grads += _matmul_backward(x_data, w_data, d, x.requires_grad, w.requires_grad)
+        return grads
+
+    return _emit(out, inputs, rule, "self_attention")
 
 
 # ---------------------------------------------------------------------------

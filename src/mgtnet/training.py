@@ -124,9 +124,10 @@ class AmsGrad:
     ``step`` gathers the gradients into one more buffer, so a non-finite
     gradient raises before any state moves.  It then updates in place,
     ``BLOCK`` values at a time through two scratch blocks that stay in
-    cache; a second-moment overflow raises in the block where it occurs.
-    Every element goes through the same IEEE operations in the same order
-    as a per-tensor update, so the step is bit for bit the same.  A
+    cache.  A second-moment overflow also raises before any state moves,
+    found by a check pass over the blocks when a scalar bound says one may
+    occur.  Every element goes through the same IEEE operations in the
+    same order as a per-tensor update, so the step is bit for bit the same.  A
     parameter whose ``data`` is rebound after adoption would no longer be
     trained, so ``step`` rejects it.  Betas and epsilon are fixed at
     construction.
@@ -172,6 +173,20 @@ class AmsGrad:
     def _name_at(self, offset: int) -> str:
         return self.params[int(np.searchsorted(self._offsets, offset, side="right")) - 1][0]
 
+    def _check_second_moment(self) -> None:
+        """Form each block's next second moment in scratch; raise where one overflows."""
+        beta2 = self.beta2
+        for start, g, m, v, v_max, p, s, t in self._blocks:
+            np.multiply(v, beta2, out=t)
+            np.multiply(g, 1.0 - beta2, out=s)
+            with np.errstate(over="ignore"):
+                np.multiply(s, g, out=s)
+                np.add(t, s, out=t)
+            if t.max() == np.inf:
+                # g was finite but g**2 overflowed; updates would stall at 0
+                bad = self._name_at(start + int(np.argmax(t)))
+                raise DivergenceError(f"second-moment overflow in parameter {bad!r}")
+
     def step(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -185,27 +200,32 @@ class AmsGrad:
                 raise la.ContractError(f"parameter {name!r} has no gradient")
             grads.append(p.grad)
         np.concatenate(grads, axis=None, out=self._grad)
-        finite = np.isfinite(self._grad)
-        if not finite.all():
-            bad = self._name_at(int(np.argmin(finite)))
+        hi, lo = self._grad.max(), self._grad.min()  # nan if any value is nan
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            bad = self._name_at(int(np.argmin(np.isfinite(self._grad))))
             raise DivergenceError(f"non-finite gradient in parameter {bad!r}")
+        beta1, beta2, eps = self.beta1, self.beta2, self.eps
+        # The update's second moment v * beta2 + ((1 - beta2) * g) * g rounds
+        # monotonically in v and |g|, so its value at the largest of each
+        # bounds every element's.  Only when that bound overflows can an
+        # element, and only then does the check pass run, before any block
+        # moves.
+        big = max(hi, -lo)
+        with np.errstate(over="ignore"):
+            bound = self._v.max() * beta2 + ((1.0 - beta2) * big) * big
+        if bound == np.inf:
+            self._check_second_moment()
         self.steps += 1
         correct1 = 1.0 - self.beta1**self.steps
         correct2 = 1.0 - self.beta2**self.steps
-        beta1, beta2, eps = self.beta1, self.beta2, self.eps
         for start, g, m, v, v_max, p, s, t in self._blocks:
             np.multiply(m, beta1, out=m)
             np.multiply(g, 1.0 - beta1, out=s)
             np.add(m, s, out=m)
             np.multiply(v, beta2, out=v)
             np.multiply(g, 1.0 - beta2, out=s)
-            with np.errstate(over="ignore"):
-                np.multiply(s, g, out=s)
-                np.add(v, s, out=v)
-            if v.max() == np.inf:
-                # g was finite but g**2 overflowed; updates would stall at 0
-                bad = self._name_at(start + int(np.argmax(v)))
-                raise DivergenceError(f"second-moment overflow in parameter {bad!r}")
+            np.multiply(s, g, out=s)
+            np.add(v, s, out=v)
             np.divide(v, correct2, out=s)
             np.maximum(v_max, s, out=v_max)
             np.divide(m, correct1, out=s)

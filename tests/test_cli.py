@@ -238,11 +238,14 @@ def test_gradcheck_failure_exit_code(monkeypatch):
     # correct forward, halved backward: the check must catch it and exit 3
     import mgtnet.linalg as la
 
-    def broken_relu(t):
-        mask = t.data > 0
-        return la._emit(np.maximum(t.data, 0.0), (t,), lambda g: (g * 0.5 * mask,), "relu")
+    conv = la.dilated_conv2d
 
-    monkeypatch.setattr("mgtnet.linalg.relu", broken_relu)
+    def broken_conv(a, kernel, dilation):
+        out = conv(a, kernel, dilation)
+        # 0.5 * out + 0.5 * out is out exactly, but only half of it is on the tape
+        return la.add(la.scale(out, 0.5), 0.5 * out.data)
+
+    monkeypatch.setattr("mgtnet.linalg.dilated_conv2d", broken_conv)
     assert run("gradcheck", "--preset", "toy") == EXIT_CHECK
 
 

@@ -382,6 +382,24 @@ def test_dilated_conv_is_one_tape_record():
     assert len(tape) == 1
 
 
+@pytest.mark.parametrize("lead", ((), (3,)), ids=("2d", "B3"))
+def test_graph_and_attention_layers_are_one_tape_record(lead):
+    rng = np.random.default_rng(22)
+    one_hop = normalize_adjacency(human36m_skeleton().adjacency() + np.eye(17))
+    layers = [
+        MultiHopGConvLayer(body_adjacencies(2), 8, 8, rng),
+        MultiHopGConvLayer(body_adjacencies(0), 8, 8, rng, bias=False, activation="identity"),
+        HighOrderGConvLayer(one_hop, 3, 8, 8, rng),
+        LamGConvLayer(one_hop, 8, rng),
+        MultiHeadSelfAttention(8, 4, rng),
+    ]
+    for layer in layers:
+        x = Tensor(rng.standard_normal(lead + (17, 8)), requires_grad=True)
+        with la.Tape() as tape:
+            layer(x)
+        assert len(tape) == 1, type(layer).__name__
+
+
 # ---------------------------------------------------------------------------
 # layer norm wrapper
 

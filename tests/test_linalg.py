@@ -585,3 +585,198 @@ def test_batched_shape_errors():
         la.layer_norm(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
     with pytest.raises(la.ShapeError):
         la.dilated_conv2d(Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((3, 3))), 1)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one tape record each, bit for bit the primitive composition
+
+
+def graph_conv_composition(h, adjacencies, weights, bias=None, relu=False):
+    """``la.graph_conv`` written with the primitives it replaces."""
+    out = None
+    for a, w in zip(adjacencies, weights):
+        term = la.matmul(la.matmul(a, h), w)
+        out = term if out is None else la.add(out, term)
+    if bias is not None:
+        out = la.add(out, bias)
+    return la.relu(out) if relu else out
+
+
+def self_attention_composition(x, wq, wk, wv, wo, factor):
+    """``la.self_attention`` written with the primitives it replaces."""
+    outputs = []
+    for w_q, w_k, w_v in zip(wq, wk, wv):
+        q, k, v = la.matmul(x, w_q), la.matmul(x, w_k), la.matmul(x, w_v)
+        scores = la.scale(la.matmul(q, la.transpose(k)), factor)
+        outputs.append(la.matmul(la.softmax_rows(scores), v))
+    return la.matmul(la.concat(outputs), wo)
+
+
+def assert_bits_equal(actual, expected, err_msg=""):
+    """Same shape and the same float64 bytes, so signed zeros count too."""
+    assert actual.shape == expected.shape, err_msg
+    assert actual.tobytes() == expected.tobytes(), err_msg
+
+
+def leaves_of(arrays, trainable):
+    """Fresh tensors for ``arrays`` (lists of arrays allowed), one flag per entry."""
+
+    def build(item, grad):
+        if isinstance(item, list):
+            return [build(a, grad) for a in item]
+        return None if item is None else Tensor(item.copy(), requires_grad=grad)
+
+    return [build(a, g) for a, g in zip(arrays, trainable)]
+
+
+def flat_leaves(leaves):
+    for leaf in leaves:
+        yield from (leaf if isinstance(leaf, list) else [leaf])
+
+
+def assert_fused_matches_composition(fused, composition, arrays, trainable, seed=0):
+    """``fused`` and ``composition`` agree bit for bit, forward and every gradient.
+
+    Both are called as ``op(x, *rest)`` on tensors built from ``arrays``, with
+    one requires-grad flag per entry of ``trainable``.  A trainable ``x``
+    reaches the op through a scale that also feeds the loss directly, so its
+    gradients from the op add to one already pending on the tape, in the
+    order the composition adds them.  The fused op writes one tape record.
+    """
+    rng = np.random.default_rng(seed)
+    sides = []
+    for op in (fused, composition):
+        leaves = leaves_of(arrays, trainable)
+        with Tape() as tape:
+            x = la.scale(leaves[0], 1.5) if trainable[0] else leaves[0]
+            before = len(tape)
+            out = op(x, *leaves[1:])
+            records = len(tape) - before
+            if not sides:
+                weights = rng.standard_normal(out.shape)
+                x_weights = rng.standard_normal(x.shape)
+            loss = la.tensor_sum(la.mul(out, Tensor(weights)))
+            if trainable[0]:
+                loss = la.add(loss, la.tensor_sum(la.mul(x, Tensor(x_weights))))
+        tape.backward(loss)
+        sides.append((out.data, [t.grad for t in flat_leaves(leaves) if t is not None], records))
+    (out, grads, records), (ref_out, ref_grads, _) = sides
+    assert records == 1
+    assert_bits_equal(out, ref_out, "forward")
+    for i, (grad, ref) in enumerate(zip(grads, ref_grads)):
+        if ref is None:
+            assert grad is None, f"leaf {i}"
+        else:
+            assert_bits_equal(grad, ref, f"gradient of leaf {i}")
+
+
+LEADS = ((), (1,), (3,), (9,), (33,))
+
+
+def lead_id(lead):
+    return f"B{lead[0]}" if lead else "2d"
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lead_id)
+@pytest.mark.parametrize("hops", (0, 1, 2))
+@pytest.mark.parametrize("relu", (True, False), ids=("relu", "identity"))
+def test_graph_conv_is_the_composition_bit_for_bit(lead, hops, relu):
+    rng = np.random.default_rng(100 + 10 * hops + len(lead) + 5 * relu)
+    n, f_in, f_out = 17, 8, 6
+    h = rng.standard_normal(lead + (n, f_in))
+    adjacencies = [rng.standard_normal((n, n)) for _ in range(hops + 1)]
+    weights = [rng.standard_normal((f_in, f_out)) for _ in range(hops + 1)]
+    bias = rng.standard_normal(f_out)
+    for with_bias in (True, False):
+        for trains_h in (True, False):
+            assert_fused_matches_composition(
+                lambda h, a, w, b: la.graph_conv(h, a, w, b, relu=relu),
+                lambda h, a, w, b: graph_conv_composition(h, a, w, b, relu=relu),
+                [h, adjacencies, weights, bias if with_bias else None],
+                [trains_h, False, True, True],
+            )
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lead_id)
+def test_graph_conv_with_a_trainable_adjacency_is_the_composition(lead):
+    rng = np.random.default_rng(150 + len(lead))
+    h = rng.standard_normal(lead + (17, 8))
+    adjacency = rng.standard_normal((17, 17))
+    weight = rng.standard_normal((8, 8))
+    for trainable in ([True, True, True], [False, True, False], [True, False, True]):
+        assert_fused_matches_composition(
+            lambda h, a, w: la.graph_conv(h, a, w, relu=True),
+            lambda h, a, w: graph_conv_composition(h, a, w, relu=True),
+            [h, [adjacency], [weight]],
+            trainable,
+        )
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=lead_id)
+@pytest.mark.parametrize("heads", (1, 2, 4))
+def test_self_attention_is_the_composition_bit_for_bit(lead, heads):
+    rng = np.random.default_rng(200 + 10 * heads + len(lead))
+    width, dim = 8, 8 // heads
+    x = rng.standard_normal(lead + (17, width))
+    wq, wk, wv = ([rng.standard_normal((width, dim)) for _ in range(heads)] for _ in range(3))
+    wo = rng.standard_normal((width, width))
+    factor = 1.0 / np.sqrt(dim)
+    for trainable in ([True] * 5, [False] + [True] * 4, [True] + [False] * 4):
+        assert_fused_matches_composition(
+            lambda *args: la.self_attention(*args, factor),
+            lambda *args: self_attention_composition(*args, factor),
+            [x, wq, wk, wv, wo],
+            trainable,
+        )
+
+
+def test_fused_layers_record_nothing_without_a_tape():
+    rng = np.random.default_rng(250)
+    x = rand(rng, 3, 17, 8)
+    w = [rand(rng, 8, 4) for _ in range(6)]
+    out = la.self_attention(x, w[:2], w[2:4], w[4:], rand(rng, 8, 8), 0.5)
+    assert out.requires_grad and out._tape is None
+    out = la.graph_conv(x, [Tensor(np.eye(17))], [rand(rng, 8, 8)], relu=True)
+    assert out.requires_grad and out._tape is None
+
+
+def test_fused_layer_shape_errors():
+    h = Tensor(np.zeros((17, 8)))
+    with pytest.raises(la.ShapeError):
+        la.graph_conv(h, [np.eye(17)], [])
+    with pytest.raises(la.ShapeError):
+        la.graph_conv(h, [np.eye(16)], [np.zeros((8, 4))])
+    with pytest.raises(la.ShapeError):
+        la.graph_conv(h, [np.eye(17), np.eye(17)], [np.zeros((8, 4)), np.zeros((8, 3))])
+    with pytest.raises(la.ShapeError):
+        la.graph_conv(h, [np.eye(17)], [np.zeros((8, 4))], bias=np.zeros(3))
+    with pytest.raises(la.ShapeError):
+        la.graph_conv(Tensor(np.zeros((1, 1, 17, 8))), [np.eye(17)], [np.zeros((8, 4))])
+    w = np.zeros((8, 4))
+    with pytest.raises(la.ShapeError):
+        la.self_attention(h, [w], [w], [], np.zeros((4, 8)), 1.0)
+    with pytest.raises(la.ShapeError):
+        la.self_attention(h, [w], [w], [np.zeros((8, 3))], np.zeros((4, 8)), 1.0)
+    with pytest.raises(la.ShapeError):
+        la.self_attention(h, [w], [w], [w], np.zeros((8, 8)), 1.0)
+
+
+def test_dilated_conv2d_forward_is_the_per_tap_sum_bit_for_bit():
+    # the forward sums a block of grids at a time through one scratch block;
+    # that is the full-size per-tap sum below, whatever the block boundaries
+    rng = np.random.default_rng(260)
+    for shape, taps, dilation in (((64, 17, 256), 3, 2), ((7, 17, 8), 3, 2), ((130, 130), 5, 3)):
+        x = rng.standard_normal(shape)
+        x[..., 0, 0] = -0.0
+        kernel = rng.standard_normal((taps, taps))
+        rows, cols = shape[-2:]
+        pad = dilation * (taps // 2)
+        padded = np.zeros(shape[:-2] + (rows + 2 * pad, cols + 2 * pad))
+        padded[..., pad : pad + rows, pad : pad + cols] = x
+        expected = np.zeros(shape)
+        for r in range(taps):
+            for s in range(taps):
+                rs = slice(dilation * r, dilation * r + rows)
+                cs = slice(dilation * s, dilation * s + cols)
+                expected += kernel[r, s] * padded[..., rs, cs]
+        assert_bits_equal(la.dilated_conv2d(x, kernel, dilation).data, expected, str(shape))

@@ -16,8 +16,13 @@ from mgtnet.model import (
     save_checkpoint,
 )
 from mgtnet.skeleton import human36m_skeleton
-from mgtnet.training import elastic_loss
-from test_linalg import assert_close_at_scale
+from mgtnet.training import AmsGrad, elastic_loss
+from test_linalg import (
+    assert_bits_equal,
+    assert_close_at_scale,
+    graph_conv_composition,
+    self_attention_composition,
+)
 
 TOY = ModelConfig(
     n_joints=17, frames=3, hidden=8, depth=2, heads=2, max_hop=2, dropout=0.0
@@ -294,6 +299,60 @@ def test_batched_step_matches_stacked_samples_at_gt_ablation_width():
     config = ModelConfig(hidden=128, dropout=0.0)
     net = MgtNet(config, human36m_skeleton(), seed=3)
     assert_batched_step_matches_stacked(net, batch=8, seed=8)
+
+
+def one_training_step(net, inputs, targets, seed):
+    """Predictions, gradients and AMSGrad-stepped parameters of one training step."""
+    params = net.parameters()
+    saved = [p.data.copy() for _, p in params]
+    la.zero_grads(params)
+    with Tape() as tape:
+        preds = net.forward(Tensor(inputs), train=True, rng=np.random.default_rng(seed))
+        loss = elastic_loss(preds, targets, alpha=0.3)
+    tape.backward(loss)
+    grads = [p.grad for _, p in params]
+    AmsGrad(params).step(0.01)
+    stepped = [p.data.copy() for _, p in params]
+    for (_, p), data in zip(params, saved):
+        p.data = data
+    return [preds.data, *grads, *stepped], len(tape)
+
+
+@pytest.mark.parametrize(
+    "config, lead",
+    (
+        (dataclasses.replace(TOY, dropout=0.2), ()),
+        (dataclasses.replace(TOY, dropout=0.2), (9,)),
+        (dataclasses.replace(TOY, gconv_mode="highorder", max_hop=3, heads=1), (3,)),
+        (ModelConfig(hidden=128, dropout=0.1), (4,)),
+    ),
+    ids=("toy-2d", "toy-B9", "toy-highorder", "gt-ablation-width-B4"),
+)
+def test_fused_layers_step_is_the_composition_step_bit_for_bit(monkeypatch, config, lead):
+    net = MgtNet(config, human36m_skeleton(), seed=5)
+    rng = np.random.default_rng(6)
+    for _, p in net.parameters():  # biases start at exactly zero
+        p.data = p.data + 1e-2 * rng.standard_normal(p.shape)
+    inputs = rng.standard_normal(lead + (17, 2, config.frames))
+    targets = rng.standard_normal(lead + (17, 3))
+    fused, fused_records = one_training_step(net, inputs, targets, seed=7)
+    monkeypatch.setattr(la, "graph_conv", graph_conv_composition)
+    monkeypatch.setattr(la, "self_attention", self_attention_composition)
+    composed, composed_records = one_training_step(net, inputs, targets, seed=7)
+    assert composed_records > fused_records
+    for i, (actual, expected) in enumerate(zip(fused, composed)):
+        assert_bits_equal(actual, expected, f"array {i}")
+
+
+def test_gt_ablation_forward_tape_record_count():
+    # per block: attention, two trainable-adjacency convs, layer norm,
+    # dropout and the skip add, then two graph convs, two dilated convs and
+    # three adds; plus the embedding and the head
+    net = MgtNet(ModelConfig(hidden=128, dropout=0.1), human36m_skeleton(), seed=0)
+    x = np.random.default_rng(8).standard_normal((2, 17, 2, 243))
+    with Tape() as tape:
+        net.forward(x, train=True, rng=np.random.default_rng(0))
+    assert len(tape) == 67
 
 
 def test_batch_of_one_draws_the_single_sample_dropout_masks():

@@ -240,6 +240,53 @@ def test_amsgrad_divergence_leaves_state_untouched():
         np.testing.assert_array_equal(old, new)
 
 
+def test_amsgrad_second_moment_overflow_leaves_state_untouched():
+    # the overflow sits in the second block, after a whole first block
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.standard_normal(BLOCK), requires_grad=True)
+    b = Tensor(rng.standard_normal(10), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+    a.grad = rng.standard_normal(BLOCK)
+    b.grad = rng.standard_normal(10)
+    opt.step(0.1)
+
+    def state():
+        return [
+            x.copy()
+            for name, p in (("a", a), ("b", b))
+            for x in (p.data, opt.m[name], opt.v[name], opt.v_max[name])
+        ]
+
+    before = state()
+    a.grad = np.ones(BLOCK)
+    b.grad = np.ones(10)
+    b.grad[4] = 1e200  # finite, but its square is not
+    with pytest.raises(DivergenceError, match="second-moment overflow in parameter 'b'"):
+        opt.step(0.1)
+    assert opt.steps == 1
+    for old, new in zip(before, state()):
+        np.testing.assert_array_equal(old, new)
+
+
+def test_amsgrad_steps_when_only_the_overflow_bound_overflows():
+    # the largest second moment (in a) plus the largest gradient's term (in
+    # b) overflows, but no single element's sum does: the check pass must
+    # find no overflow and let the step go through
+    a = Tensor(np.zeros(3), requires_grad=True)
+    b = Tensor(np.zeros(3), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+    with np.errstate(over="ignore"):  # v / (1 - beta2**t) is past the float64 range
+        a.grad = np.array([3.8e155, 0.0, 1.0])
+        b.grad = np.ones(3)
+        opt.step(0.1)
+        a.grad = np.zeros(3)
+        b.grad = np.array([1.0, 3.8e155, 1.0])
+        opt.step(0.1)
+    assert opt.steps == 2
+    assert opt.v["a"][0] == (0.0 + ((1.0 - 0.999) * 3.8e155) * 3.8e155) * 0.999
+    assert opt.v["b"][1] == 1e-3 * 0.999 + ((1.0 - 0.999) * 3.8e155) * 3.8e155
+
+
 def test_amsgrad_rejects_a_rebound_parameter():
     a = Tensor(np.ones(2), requires_grad=True)
     b = Tensor(np.ones(3), requires_grad=True)
