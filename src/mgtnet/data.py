@@ -199,7 +199,6 @@ def synthesize(
     seed: int = 0,
     noise_sigma: float = 0.0,
     amplitude: float = 0.3,
-    unit: str = "units",
 ) -> PoseDataset:
     """Seeded synthetic motion: smooth sinusoidal joint drift around a rest pose.
 
@@ -207,7 +206,7 @@ def synthesize(
     ``frames`` frames; the 2D input is the orthographic (x, y) projection per
     frame with optional Gaussian noise, and the target is the final frame's
     3D pose.  The root stays pinned at the origin, so targets are born
-    root-relative.
+    root-relative.  The set's unit is ``"units"``.
     """
     if count < 1:
         raise DataFormatError(f"count must be positive, got {count}")
@@ -239,7 +238,7 @@ def synthesize(
         inputs[k] = pose[:, :2, :]
         if noise_sigma > 0:
             inputs[k] = _quantize(inputs[k] + rng.normal(0.0, noise_sigma, size=inputs[k].shape))
-    return PoseDataset.from_arrays(skeleton, inputs, targets, ("synthetic",) * count, unit)
+    return PoseDataset.from_arrays(skeleton, inputs, targets, ("synthetic",) * count, "units")
 
 
 # ---------------------------------------------------------------------------

@@ -23,21 +23,11 @@ __all__ = [
     "MultiHeadSelfAttention",
     "DilatedConvLayer",
     "LayerNorm",
-    "receptive_field",
 ]
 
 
 class ConfigurationError(ValueError):
     """A layer or model was configured inconsistently."""
-
-
-_ACTIVATIONS = ("relu", "identity")
-
-
-def _check_activation(activation: str) -> str:
-    if activation not in _ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}, expected one of {_ACTIVATIONS}")
-    return activation
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -61,17 +51,12 @@ class MultiHopGConvLayer:
     hop terms feed one sum, so each hop weight is drawn with Glorot on the
     layer's full fan-in (K+1)*f_in, the fan-in of the stacked form
     concat_k(A_k H) @ W; a plain Glorot draw per hop would grow the output
-    variance about (K+1)x per layer.
+    variance about (K+1)x per layer.  A trainable bias is added to the sum,
+    followed by a ReLU when ``relu`` is set.
     """
 
     def __init__(
-        self,
-        adjacencies,
-        f_in: int,
-        f_out: int,
-        rng: np.random.Generator,
-        bias: bool = True,
-        activation: str = "relu",
+        self, adjacencies, f_in: int, f_out: int, rng: np.random.Generator, relu: bool = True
     ):
         stack = [_as_square_constant(a) for a in adjacencies]
         if not stack:
@@ -81,35 +66,23 @@ class MultiHopGConvLayer:
             if mat.shape[0] != n:
                 raise ConfigurationError("adjacency stack sizes disagree")
         self.adjacencies = stack
-        self.f_in = int(f_in)
-        self.f_out = int(f_out)
-        self.activation = _check_activation(activation)
-        fan_in = len(stack) * self.f_in
+        self.relu = relu
+        fan_in = len(stack) * f_in
         self.weights = [
             Tensor(glorot(rng, fan_in, f_out, (f_in, f_out)), requires_grad=True)
             for _ in stack
         ]
-        self.bias = Tensor(np.zeros(f_out), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros(f_out), requires_grad=True)
 
     @property
     def max_hop(self) -> int:
         return len(self.adjacencies) - 1
 
     def __call__(self, h: Tensor) -> Tensor:
-        n = self.adjacencies[0].shape[0]
-        if h.ndim not in (2, 3) or h.shape[-2:] != (n, self.f_in):
-            raise la.ShapeError(
-                f"multi-hop conv expects input of shape ([B,] {n}, {self.f_in}), got {h.shape}"
-            )
-        return la.graph_conv(
-            h, self.adjacencies, self.weights, self.bias, relu=self.activation == "relu"
-        )
+        return la.graph_conv(h, self.adjacencies, self.weights, self.bias, relu=self.relu)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = [(f"w{k}", w) for k, w in enumerate(self.weights)]
-        if self.bias is not None:
-            named.append(("b", self.bias))
-        return named
+        return [(f"w{k}", w) for k, w in enumerate(self.weights)] + [("b", self.bias)]
 
 
 class HighOrderGConvLayer(MultiHopGConvLayer):
@@ -126,14 +99,13 @@ class HighOrderGConvLayer(MultiHopGConvLayer):
         f_in: int,
         f_out: int,
         rng: np.random.Generator,
-        bias: bool = True,
-        activation: str = "relu",
+        relu: bool = True,
     ):
         if max_order < 0:
             raise ConfigurationError(f"max_order must be nonnegative, got {max_order}")
         base = np.asarray(normalized_adjacency, dtype=np.float64)
         powers = [np.linalg.matrix_power(base, k) for k in range(max_order + 1)]
-        super().__init__(powers, f_in, f_out, rng, bias=bias, activation=activation)
+        super().__init__(powers, f_in, f_out, rng, relu)
 
 
 class LamGConvLayer:
@@ -141,32 +113,18 @@ class LamGConvLayer:
 
     The adjacency starts as the normalized 1-hop matrix of the skeleton and
     is free to move away from it; no renormalization is applied afterwards.
+    The output is ReLU(A @ H @ W), with no bias.
     """
 
-    def __init__(
-        self,
-        initial_adjacency: np.ndarray,
-        width: int,
-        rng: np.random.Generator,
-        activation: str = "relu",
-    ):
+    def __init__(self, initial_adjacency: np.ndarray, width: int, rng: np.random.Generator):
         init = np.asarray(initial_adjacency, dtype=np.float64)
         if init.ndim != 2 or init.shape[0] != init.shape[1]:
             raise ConfigurationError(f"adjacency must be square, got shape {init.shape}")
-        self.width = int(width)
-        self.activation = _check_activation(activation)
         self.adjacency = Tensor(init.copy(), requires_grad=True)
         self.weight = Tensor(glorot(rng, width, width, (width, width)), requires_grad=True)
 
     def __call__(self, h: Tensor) -> Tensor:
-        n = self.adjacency.shape[0]
-        if h.ndim not in (2, 3) or h.shape[-2:] != (n, self.width):
-            raise la.ShapeError(
-                f"lam conv expects input of shape ([B,] {n}, {self.width}), got {h.shape}"
-            )
-        return la.graph_conv(
-            h, [self.adjacency], [self.weight], relu=self.activation == "relu"
-        )
+        return la.graph_conv(h, [self.adjacency], [self.weight], relu=True)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("adj", self.adjacency), ("w", self.weight)]
@@ -185,7 +143,6 @@ class MultiHeadSelfAttention:
             raise ConfigurationError(f"heads must be positive, got {heads}")
         if width % heads != 0:
             raise ConfigurationError(f"width {width} is not divisible by heads {heads}")
-        self.width = int(width)
         self.heads = int(heads)
         self.head_dim = width // heads
         self.w_query = []
@@ -200,8 +157,6 @@ class MultiHeadSelfAttention:
         self._inv_sqrt_dim = 1.0 / math.sqrt(self.head_dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim not in (2, 3) or x.shape[-1] != self.width:
-            raise la.ShapeError(f"attention expects ([B,] *, {self.width}) input, got {x.shape}")
         return la.self_attention(
             x, self.w_query, self.w_key, self.w_value, self.w_out, self._inv_sqrt_dim
         )
@@ -216,43 +171,25 @@ class MultiHeadSelfAttention:
         return named
 
 
-def receptive_field(half_width: int, dilation: int) -> int:
-    """Span in grid cells covered by one dilated kernel application."""
-    if half_width < 0 or dilation < 1:
-        raise ConfigurationError(
-            f"need half_width >= 0 and dilation >= 1, got {half_width}, {dilation}"
-        )
-    return 2 * dilation * half_width + 1
-
-
 class DilatedConvLayer:
     """Single-channel dilated 2-d convolution over the joint x feature grid.
 
     Kernel taps sample the zero-padded grid at offsets spaced by the dilation
-    factor, keeping the output shape equal to the input shape.
+    factor, keeping the output shape equal to the input shape.  The kernel
+    is (2 * half_width + 1) taps square.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        half_width: int = 1,
-        dilation: int = 2,
-    ):
+    def __init__(self, rng: np.random.Generator, half_width: int, dilation: int):
         if half_width < 0:
             raise ConfigurationError(f"half_width must be nonnegative, got {half_width}")
         if dilation < 1:
             raise ConfigurationError(f"dilation must be positive, got {dilation}")
-        self.half_width = int(half_width)
         self.dilation = int(dilation)
         taps = 2 * half_width + 1
         self.kernel = Tensor(glorot(rng, taps * taps, taps * taps, (taps, taps)), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return la.dilated_conv2d(x, self.kernel, self.dilation)
-
-    @property
-    def span(self) -> int:
-        return receptive_field(self.half_width, self.dilation)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("kernel", self.kernel)]
@@ -261,14 +198,12 @@ class DilatedConvLayer:
 class LayerNorm:
     """Row-wise layer normalization with trainable gain and bias."""
 
-    def __init__(self, width: int, eps: float = 1e-5):
-        self.width = int(width)
-        self.eps = float(eps)
+    def __init__(self, width: int):
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return la.layer_norm(x, self.gain, self.bias, self.eps)
+        return la.layer_norm(x, self.gain, self.bias)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("gain", self.gain), ("bias", self.bias)]

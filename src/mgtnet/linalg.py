@@ -501,12 +501,13 @@ def softmax_rows(a) -> Tensor:
     return _emit(out, (a,), rule, "softmax_rows")
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Row-wise normalization to zero mean, unit variance, then affine.
 
     ``a`` is (rows, width) or a (B, rows, width) batch.  Variance is the
-    population variance over the last (feature) axis.  ``eps`` keeps
-    constant rows finite: they normalize to zero and come out as ``bias``.
+    population variance over the last (feature) axis.  An epsilon of 1e-5
+    under the square root keeps constant rows finite: they normalize to
+    zero and come out as ``bias``.
     """
     a, gain, bias = as_tensor(a), as_tensor(gain), as_tensor(bias)
     if a.ndim not in (2, 3):
@@ -518,7 +519,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     centered = a.data - a.data.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     normed = centered * inv
     out = normed * gain.data + bias.data
     gain_data = gain.data

@@ -60,16 +60,15 @@ def mpjpe(pred, gt) -> float:
     return float(_pose_errors(*_paired(pred, gt)).mean())
 
 
-def procrustes_align(pred, gt, allow_reflection: bool = False) -> np.ndarray:
+def procrustes_align(pred, gt) -> np.ndarray:
     """Best similarity transform of ``pred`` onto ``gt``: argmin ||gt - (s R pred + t)||.
 
     Takes one (N, 3) pose pair or a batch of (S, N, 3) and aligns each pose
     on its own.  Solved in closed form via the SVD of the centered
-    cross-covariance (Umeyama, 1991), one batched SVD for all poses.  By
-    default R is constrained to a proper rotation (det +1), enforced by
-    flipping the smallest singular direction; ``allow_reflection`` lifts the
-    constraint.  Raises ``AlignmentError`` when any pose has no centered
-    variance, since scale and rotation are then undefined.
+    cross-covariance (Umeyama, 1991), one batched SVD for all poses.  R is
+    constrained to a proper rotation (det +1), enforced by flipping the
+    smallest singular direction.  Raises ``AlignmentError`` when any pose
+    has no centered variance, since scale and rotation are then undefined.
     """
     single = np.ndim(pred) == 2
     p, g = _paired(pred, gt)
@@ -85,8 +84,7 @@ def procrustes_align(pred, gt, allow_reflection: bool = False) -> np.ndarray:
             raise AlignmentError(f"{name} pose {k} is degenerate: all joints coincide")
     u, s, vt = np.linalg.svd(gc.transpose(0, 2, 1) @ pc)
     flips = np.ones_like(s)
-    if not allow_reflection:
-        flips[np.linalg.det(u @ vt) < 0, -1] = -1.0
+    flips[np.linalg.det(u @ vt) < 0, -1] = -1.0
     rotation = (u * flips[:, None, :]) @ vt
     scale = (s * flips).sum(axis=1) / var_p
     if (scale <= 0).any():
@@ -97,10 +95,10 @@ def procrustes_align(pred, gt, allow_reflection: bool = False) -> np.ndarray:
     return aligned[0] if single else aligned
 
 
-def pa_mpjpe(pred, gt, allow_reflection: bool = False) -> float:
+def pa_mpjpe(pred, gt) -> float:
     """MPJPE after per-pose Procrustes alignment of pred onto gt."""
     p, g = _paired(pred, gt)
-    return float(_pose_errors(procrustes_align(p, g, allow_reflection=allow_reflection), g).mean())
+    return float(_pose_errors(procrustes_align(p, g), g).mean())
 
 
 def pck(pred, gt, threshold: float = DEFAULT_PCK_THRESHOLD) -> float:
@@ -112,14 +110,11 @@ def pck(pred, gt, threshold: float = DEFAULT_PCK_THRESHOLD) -> float:
     return float((errors <= threshold).mean())
 
 
-def auc(pred, gt, thresholds=None) -> float:
-    """Mean PCK over an increasing threshold grid (default 0..150 step 5), counted as ``pck``."""
-    grid = np.asarray(DEFAULT_AUC_GRID if thresholds is None else thresholds, dtype=np.float64)
-    if grid.size == 0 or not grid[0] >= 0 or not (np.diff(grid) > 0).all():
-        raise ValueError(f"threshold grid must be nonempty, nonnegative and increasing: {grid}")
+def auc(pred, gt) -> float:
+    """Mean PCK over ``DEFAULT_AUC_GRID`` (0..150 step 5), counted as ``pck``."""
     p, g = _paired(pred, gt)
     errors = np.sort(np.linalg.norm(p - g, axis=-1), axis=None)
-    return float(np.mean(np.searchsorted(errors, grid, side="right") / errors.size))
+    return float(np.mean(np.searchsorted(errors, DEFAULT_AUC_GRID, side="right") / errors.size))
 
 
 @dataclass(frozen=True)
@@ -172,13 +167,7 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def metric_report(
-    preds,
-    gts,
-    actions,
-    threshold: float = DEFAULT_PCK_THRESHOLD,
-    thresholds=None,
-) -> MetricReport:
+def metric_report(preds, gts, actions, threshold: float = DEFAULT_PCK_THRESHOLD) -> MetricReport:
     """Group per-sample poses by action label and aggregate all four metrics."""
     preds = np.asarray(preds, dtype=np.float64)
     gts = np.asarray(gts, dtype=np.float64)
@@ -195,7 +184,7 @@ def metric_report(
             mpjpe=mpjpe(p, g),
             pa_mpjpe=pa_mpjpe(p, g),
             pck=pck(p, g, threshold),
-            auc=auc(p, g, thresholds),
+            auc=auc(p, g),
             n=len(p),
         )
 

@@ -87,15 +87,11 @@ class ModelConfig:
             )
 
 
-def _make_gconv(config: ModelConfig, graph_mats, f_in: int, f_out: int, rng, activation: str):
+def _make_gconv(config: ModelConfig, graph_mats, f_in: int, f_out: int, rng, relu: bool):
     """Hop-aware convolution in the configured flavor."""
     if config.gconv_mode == "multihop":
-        return MultiHopGConvLayer(
-            graph_mats["disentangled"], f_in, f_out, rng, activation=activation
-        )
-    return HighOrderGConvLayer(
-        graph_mats["one_hop"], config.max_hop, f_in, f_out, rng, activation=activation
-    )
+        return MultiHopGConvLayer(graph_mats["disentangled"], f_in, f_out, rng, relu)
+    return HighOrderGConvLayer(graph_mats["one_hop"], config.max_hop, f_in, f_out, rng, relu)
 
 
 class GraphAttentionBlock:
@@ -146,7 +142,7 @@ class MultiHopConvBlock:
         width = config.hidden
         self.use_dcl = config.use_dcl
         self.gconvs = [
-            _make_gconv(config, graph_mats, width, width, rng, "relu") for _ in range(2)
+            _make_gconv(config, graph_mats, width, width, rng, relu=True) for _ in range(2)
         ]
         self.dcls = (
             [
@@ -189,19 +185,18 @@ class MgtNet:
         self.config = config
         self.graph = graph
         rng = np.random.default_rng(seed)
-        hop_set = disentangled_adjacencies(graph, config.max_hop)
         graph_mats = {
-            "disentangled": hop_set.normalized,
+            "disentangled": disentangled_adjacencies(graph, config.max_hop),
             "one_hop": normalize_adjacency(graph.adjacency() + np.eye(graph.n_joints)),
         }
         in_width = 2 * config.frames
-        self.embedding = _make_gconv(config, graph_mats, in_width, config.hidden, rng, "relu")
+        self.embedding = _make_gconv(config, graph_mats, in_width, config.hidden, rng, relu=True)
         self.blocks = []
         for _ in range(config.depth):
             attn = GraphAttentionBlock(config, graph_mats, rng)
             conv = MultiHopConvBlock(config, graph_mats, rng)
             self.blocks.append((attn, conv))
-        self.head = _make_gconv(config, graph_mats, config.hidden, 3, rng, "identity")
+        self.head = _make_gconv(config, graph_mats, config.hidden, 3, rng, relu=False)
 
     def forward(self, sample, train: bool = False, rng=None) -> Tensor:
         """Lift one sample (N, 2, T) to an (N, 3) pose, or a batch (B, N, 2, T) to (B, N, 3).
@@ -218,30 +213,24 @@ class MgtNet:
             raise la.ShapeError(
                 f"expected input of shape ([B,] {cfg.n_joints}, 2, {cfg.frames}), got {x.shape}"
             )
-        lead = x.shape[:-3]
-        # row layout per joint: x, y interleaved per frame, frame 0 first
-        flat = self._staged(
-            "input",
-            lambda: la.reshape(la.transpose(x), lead + (cfg.n_joints, 2 * cfg.frames)),
-        )
-        h = self._staged("embedding", lambda: self.embedding(flat))
-        for i, (attn, conv) in enumerate(self.blocks):
-            h = self._staged(f"block{i}.attention", lambda: attn(h, train=train, rng=rng))
-            h = self._staged(f"block{i}.conv", lambda: conv(h))
-        return self._staged("head", lambda: self.head(h))
-
-    __call__ = forward
-
-    @staticmethod
-    def _staged(stage: str, fn) -> Tensor:
-        """Run one stage, tagging debug-mode numeric failures with its name."""
+        # a debug-mode numeric failure is reported with the stage it arose in
+        stage = "input"
         try:
-            out = fn()
+            # row layout per joint: x, y interleaved per frame, frame 0 first
+            h = la.reshape(la.transpose(x), x.shape[:-3] + (cfg.n_joints, 2 * cfg.frames))
+            stage = "embedding"
+            h = self.embedding(h)
+            for i, (attn, conv) in enumerate(self.blocks):
+                stage = f"block{i}.attention"
+                h = attn(h, train=train, rng=rng)
+                stage = f"block{i}.conv"
+                h = conv(h)
+            stage = "head"
+            return self.head(h)
         except la.EvaluationError as exc:
             raise la.EvaluationError(f"{stage}: {exc}") from None
-        if la.debug_enabled() and not np.isfinite(out.data).all():
-            raise la.EvaluationError(f"non-finite activations after {stage}")
-        return out
+
+    __call__ = forward
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = [(f"embed.{name}", t) for name, t in self.embedding.parameters()]

@@ -16,7 +16,6 @@ __all__ = [
     "SkeletonError",
     "SkeletonGraph",
     "HopDistanceMatrix",
-    "DisentangledAdjacencySet",
     "SparsityRow",
     "human36m_skeleton",
     "hop_distances",
@@ -161,27 +160,17 @@ def normalize_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-@dataclass(frozen=True)
-class DisentangledAdjacencySet:
-    """Per-hop adjacency stack: raw binary matrices and normalized forms.
+def disentangled_adjacencies(graph: SkeletonGraph, max_hop: int) -> tuple[np.ndarray, ...]:
+    """Normalized ``k_adjacency`` matrices for k = 0..max_hop.
 
-    ``raw[k]`` selects pairs at hop distance exactly k plus self-loops, so the
-    off-diagonal supports are pairwise disjoint across k and, up to the graph
-    diameter, partition the connected pairs.
+    The raw matrix of hop k selects pairs at hop distance exactly k plus
+    self-loops, so the off-diagonal supports are pairwise disjoint across k
+    and, up to the graph diameter, partition the connected pairs.
     """
-
-    max_hop: int
-    raw: tuple[np.ndarray, ...]
-    normalized: tuple[np.ndarray, ...]
-
-
-def disentangled_adjacencies(graph: SkeletonGraph, max_hop: int) -> DisentangledAdjacencySet:
     if max_hop < 0:
         raise SkeletonError(f"max_hop must be nonnegative, got {max_hop}")
     hops = hop_distances(graph)
-    raw = tuple(k_adjacency(hops, k) for k in range(max_hop + 1))
-    normalized = tuple(normalize_adjacency(m) for m in raw)
-    return DisentangledAdjacencySet(max_hop, raw, normalized)
+    return tuple(normalize_adjacency(k_adjacency(hops, k)) for k in range(max_hop + 1))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,11 @@ PREDICT_CHUNK = 64
 # paper-scale buffer (4.3M values) would not.
 BLOCK = 65536
 
+# AMSGrad's moment decays and the epsilon added to the root of the second moment
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 LOSS_MODES = ("pose_sum", "joint_mean")
 
 
@@ -124,16 +129,16 @@ class AmsGrad:
     ``step`` gathers the gradients into one more buffer, so a non-finite
     gradient raises before any state moves.  It then updates in place,
     ``BLOCK`` values at a time through two scratch blocks that stay in
-    cache.  A second-moment overflow also raises before any state moves,
-    found by a check pass over the blocks when a scalar bound says one may
-    occur.  Every element goes through the same IEEE operations in the
-    same order as a per-tensor update, so the step is bit for bit the same.  A
+    cache.  A second moment that overflows, or whose bias-corrected value
+    ``v / (1 - BETA2**t)`` does, also raises before any state moves, found
+    by a check pass over the blocks when a scalar bound says one may occur.
+    Every element goes through the same IEEE operations in the same order
+    as a per-tensor update, so the step is bit for bit the same.  A
     parameter whose ``data`` is rebound after adoption would no longer be
-    trained, so ``step`` rejects it.  Betas and epsilon are fixed at
-    construction.
+    trained, so ``step`` rejects it.
     """
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = [(name, p) for name, p in params]
         if not self.params:
             raise la.ContractError("optimizer needs at least one parameter")
@@ -144,9 +149,6 @@ class AmsGrad:
             if id(p) in seen:
                 raise la.ContractError(f"parameter {name!r} is listed twice")
             seen.add(id(p))
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.steps = 0
         self._offsets = np.cumsum([0] + [p.size for _, p in self.params])
         total = int(self._offsets[-1])
@@ -173,17 +175,17 @@ class AmsGrad:
     def _name_at(self, offset: int) -> str:
         return self.params[int(np.searchsorted(self._offsets, offset, side="right")) - 1][0]
 
-    def _check_second_moment(self) -> None:
-        """Form each block's next second moment in scratch; raise where one overflows."""
-        beta2 = self.beta2
+    def _check_second_moment(self, correct2: float) -> None:
+        """Form each block's next bias-corrected second moment in scratch; raise on overflow."""
         for start, g, m, v, v_max, p, s, t in self._blocks:
-            np.multiply(v, beta2, out=t)
-            np.multiply(g, 1.0 - beta2, out=s)
+            np.multiply(v, BETA2, out=t)
+            np.multiply(g, 1.0 - BETA2, out=s)
             with np.errstate(over="ignore"):
                 np.multiply(s, g, out=s)
                 np.add(t, s, out=t)
+                np.divide(t, correct2, out=t)
             if t.max() == np.inf:
-                # g was finite but g**2 overflowed; updates would stall at 0
+                # g was finite but g**2 or its correction overflowed; updates would stall at 0
                 bad = self._name_at(start + int(np.argmax(t)))
                 raise DivergenceError(f"second-moment overflow in parameter {bad!r}")
 
@@ -204,26 +206,25 @@ class AmsGrad:
         if not (np.isfinite(hi) and np.isfinite(lo)):
             bad = self._name_at(int(np.argmin(np.isfinite(self._grad))))
             raise DivergenceError(f"non-finite gradient in parameter {bad!r}")
-        beta1, beta2, eps = self.beta1, self.beta2, self.eps
-        # The update's second moment v * beta2 + ((1 - beta2) * g) * g rounds
-        # monotonically in v and |g|, so its value at the largest of each
-        # bounds every element's.  Only when that bound overflows can an
-        # element, and only then does the check pass run, before any block
-        # moves.
+        correct1 = 1.0 - BETA1 ** (self.steps + 1)
+        correct2 = 1.0 - BETA2 ** (self.steps + 1)
+        # The update's bias-corrected second moment
+        # (v * BETA2 + ((1 - BETA2) * g) * g) / correct2 rounds monotonically
+        # in v and |g|, so its value at the largest of each bounds every
+        # element's.  Only when that bound overflows can an element, and only
+        # then does the check pass run, before any block moves.
         big = max(hi, -lo)
         with np.errstate(over="ignore"):
-            bound = self._v.max() * beta2 + ((1.0 - beta2) * big) * big
+            bound = (self._v.max() * BETA2 + ((1.0 - BETA2) * big) * big) / correct2
         if bound == np.inf:
-            self._check_second_moment()
+            self._check_second_moment(correct2)
         self.steps += 1
-        correct1 = 1.0 - self.beta1**self.steps
-        correct2 = 1.0 - self.beta2**self.steps
         for start, g, m, v, v_max, p, s, t in self._blocks:
-            np.multiply(m, beta1, out=m)
-            np.multiply(g, 1.0 - beta1, out=s)
+            np.multiply(m, BETA1, out=m)
+            np.multiply(g, 1.0 - BETA1, out=s)
             np.add(m, s, out=m)
-            np.multiply(v, beta2, out=v)
-            np.multiply(g, 1.0 - beta2, out=s)
+            np.multiply(v, BETA2, out=v)
+            np.multiply(g, 1.0 - BETA2, out=s)
             np.multiply(s, g, out=s)
             np.add(v, s, out=v)
             np.divide(v, correct2, out=s)
@@ -231,7 +232,7 @@ class AmsGrad:
             np.divide(m, correct1, out=s)
             np.multiply(s, lr, out=s)
             np.sqrt(v_max, out=t)
-            np.add(t, eps, out=t)
+            np.add(t, EPS, out=t)
             np.divide(s, t, out=s)
             np.subtract(p, s, out=p)
 

@@ -135,16 +135,14 @@ def test_criterion_4_layer_oracle_equivalence():
         rng = np.random.default_rng(41)
         mats = body_adjacencies(2)
         for trial in range(20):
-            layer = MultiHopGConvLayer(
-                mats, 6, 4, rng, activation="relu" if trial % 2 else "identity"
-            )
+            layer = MultiHopGConvLayer(mats, 6, 4, rng, relu=trial % 2 == 1)
             h = rng.standard_normal((17, 6))
             expected = multi_hop_reference(
                 [m.data for m in layer.adjacencies],
                 h,
                 [w.data for w in layer.weights],
                 layer.bias.data,
-                layer.activation,
+                layer.relu,
             )
             np.testing.assert_allclose(layer(Tensor(h)).data, expected, atol=1e-12)
         for trial in range(20):

@@ -12,7 +12,6 @@ from mgtnet.layers import (
     MultiHeadSelfAttention,
     MultiHopGConvLayer,
     glorot,
-    receptive_field,
 )
 from mgtnet.linalg import Tensor
 from mgtnet.skeleton import disentangled_adjacencies, human36m_skeleton, normalize_adjacency
@@ -22,7 +21,7 @@ from mgtnet.skeleton import disentangled_adjacencies, human36m_skeleton, normali
 # reference implementations, written as plainly as possible
 
 
-def multi_hop_reference(adjacencies, h, weights, bias, activation):
+def multi_hop_reference(adjacencies, h, weights, bias, relu):
     """Entry-by-entry loops; no vectorized matmul shortcuts."""
     n, f_in = h.shape
     f_out = weights[0].shape[1]
@@ -35,9 +34,8 @@ def multi_hop_reference(adjacencies, h, weights, bias, activation):
                 for c in range(f_out):
                     for d in range(f_in):
                         out[j, c] += a[j, i] * h[i, d] * w[d, c]
-    if bias is not None:
-        out = out + bias
-    if activation == "relu":
+    out = out + bias
+    if relu:
         out = np.maximum(out, 0.0)
     return out
 
@@ -78,11 +76,11 @@ def dilated_conv_reference(x, kernel, dilation):
 
 
 def body_adjacencies(max_hop=2):
-    return disentangled_adjacencies(human36m_skeleton(), max_hop).normalized
+    return disentangled_adjacencies(human36m_skeleton(), max_hop)
 
 
 # ---------------------------------------------------------------------------
-# glorot and activations
+# glorot
 
 
 def test_glorot_bounds_and_determinism():
@@ -94,12 +92,6 @@ def test_glorot_bounds_and_determinism():
     np.testing.assert_array_equal(sample, again)
 
 
-def test_unknown_activation_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        MultiHopGConvLayer([np.eye(3)], 4, 4, rng, activation="tanh")
-
-
 # ---------------------------------------------------------------------------
 # multi-hop graph convolution; with one adjacency it is the plain A @ H @ W + b
 
@@ -107,7 +99,7 @@ def test_unknown_activation_rejected():
 def test_gconv_forward_matches_dense_formula():
     rng = np.random.default_rng(1)
     a = normalize_adjacency(np.ones((4, 4)))
-    layer = MultiHopGConvLayer([a], 5, 3, rng, activation="identity")
+    layer = MultiHopGConvLayer([a], 5, 3, rng, relu=False)
     h = rng.standard_normal((4, 5))
     out = layer(Tensor(h))
     expected = a @ h @ layer.weights[0].data + layer.bias.data
@@ -127,16 +119,16 @@ def test_gconv_rejects_wrong_input_shape():
 def test_multi_hop_forward_matches_brute_force():
     rng = np.random.default_rng(3)
     mats = body_adjacencies(2)
-    for activation in ("identity", "relu"):
+    for relu in (False, True):
         for trial in range(5):
-            layer = MultiHopGConvLayer(mats, 6, 4, rng, activation=activation)
+            layer = MultiHopGConvLayer(mats, 6, 4, rng, relu=relu)
             h = rng.standard_normal((17, 6))
             expected = multi_hop_reference(
                 [m.data for m in layer.adjacencies],
                 h,
                 [w.data for w in layer.weights],
                 layer.bias.data,
-                activation,
+                relu,
             )
             np.testing.assert_allclose(layer(Tensor(h)).data, expected, atol=1e-12)
 
@@ -145,10 +137,10 @@ def test_multi_hop_parameter_names():
     layer = MultiHopGConvLayer(body_adjacencies(2), 6, 4, np.random.default_rng(4))
     assert [name for name, _ in layer.parameters()] == ["w0", "w1", "w2", "b"]
     assert layer.max_hop == 2
-    no_bias = MultiHopGConvLayer(body_adjacencies(1), 6, 4, np.random.default_rng(4), bias=False)
-    assert [name for name, _ in no_bias.parameters()] == ["w0", "w1"]
+    one_hop = MultiHopGConvLayer(body_adjacencies(1), 6, 4, np.random.default_rng(4))
+    assert [name for name, _ in one_hop.parameters()] == ["w0", "w1", "b"]
     # the K+1 hop terms feed one sum, so Glorot uses the fan-in (K+1) * f_in
-    for hop_layer in (layer, no_bias):
+    for hop_layer in (layer, one_hop):
         bound = np.sqrt(6.0 / ((hop_layer.max_hop + 1) * 6 + 4))
         for w in hop_layer.weights:
             assert np.abs(w.data).max() <= bound
@@ -180,7 +172,7 @@ def test_multi_hop_gradients():
 def test_high_order_uses_adjacency_powers():
     rng = np.random.default_rng(7)
     base = normalize_adjacency(human36m_skeleton().adjacency() + np.eye(17))
-    layer = HighOrderGConvLayer(base, 2, 4, 4, rng, activation="identity")
+    layer = HighOrderGConvLayer(base, 2, 4, 4, rng, relu=False)
     np.testing.assert_allclose(layer.adjacencies[0].data, np.eye(17))
     np.testing.assert_allclose(layer.adjacencies[1].data, base)
     np.testing.assert_allclose(layer.adjacencies[2].data, base @ base)
@@ -193,8 +185,8 @@ def test_high_order_differs_from_multi_hop_beyond_one_hop():
     rng = np.random.default_rng(8)
     mats = body_adjacencies(2)
     base = normalize_adjacency(human36m_skeleton().adjacency() + np.eye(17))
-    high = HighOrderGConvLayer(base, 2, 3, 3, rng, activation="identity")
-    multi = MultiHopGConvLayer(mats, 3, 3, rng, activation="identity")
+    high = HighOrderGConvLayer(base, 2, 3, 3, rng, relu=False)
+    multi = MultiHopGConvLayer(mats, 3, 3, rng, relu=False)
     for w_high, w_multi in zip(high.weights, multi.weights):
         w_multi.data = w_high.data.copy()
     multi.bias.data = high.bias.data.copy()
@@ -209,11 +201,12 @@ def test_high_order_differs_from_multi_hop_beyond_one_hop():
 def test_lam_gconv_forward_and_adjacency_gradient():
     rng = np.random.default_rng(9)
     init = normalize_adjacency(human36m_skeleton().adjacency() + np.eye(17))
-    layer = LamGConvLayer(init, 4, rng, activation="identity")
+    layer = LamGConvLayer(init, 4, rng)
     np.testing.assert_array_equal(layer.adjacency.data, init)
     assert layer.adjacency.requires_grad
     h = rng.standard_normal((17, 4))
-    np.testing.assert_allclose(layer(Tensor(h)).data, init @ h @ layer.weight.data, atol=1e-13)
+    expected = np.maximum(init @ h @ layer.weight.data, 0.0)
+    np.testing.assert_allclose(layer(Tensor(h)).data, expected, atol=1e-13)
     assert [name for name, _ in layer.parameters()] == ["adj", "w"]
 
     def loss():
@@ -311,17 +304,6 @@ def test_msa_rows_mix_information():
 # dilated convolution
 
 
-def test_receptive_field_values():
-    assert receptive_field(1, 1) == 3
-    assert receptive_field(1, 2) == 5
-    assert receptive_field(2, 3) == 13
-    assert receptive_field(0, 1) == 1
-    with pytest.raises(ConfigurationError):
-        receptive_field(-1, 2)
-    with pytest.raises(ConfigurationError):
-        receptive_field(1, 0)
-
-
 def test_dilated_conv_matches_reference():
     rng = np.random.default_rng(16)
     # the 2 x 3 grid is smaller than the dilation reach, so some views lie
@@ -332,7 +314,6 @@ def test_dilated_conv_matches_reference():
             x = rng.standard_normal(shape)
             expected = dilated_conv_reference(x, layer.kernel.data, dilation)
             np.testing.assert_allclose(layer(Tensor(x)).data, expected, atol=1e-12)
-            assert layer.span == receptive_field(half_width, dilation)
 
 
 def test_dilated_conv_delta_kernel_is_identity():
@@ -388,7 +369,7 @@ def test_graph_and_attention_layers_are_one_tape_record(lead):
     one_hop = normalize_adjacency(human36m_skeleton().adjacency() + np.eye(17))
     layers = [
         MultiHopGConvLayer(body_adjacencies(2), 8, 8, rng),
-        MultiHopGConvLayer(body_adjacencies(0), 8, 8, rng, bias=False, activation="identity"),
+        MultiHopGConvLayer(body_adjacencies(0), 8, 8, rng, relu=False),
         HighOrderGConvLayer(one_hop, 3, 8, 8, rng),
         LamGConvLayer(one_hop, 8, rng),
         MultiHeadSelfAttention(8, 4, rng),

@@ -1,11 +1,13 @@
 """Network assembly: config checks, wiring, parameter layout, checkpoints."""
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 import mgtnet.linalg as la
+from mgtnet.cli import PRESETS, RunConfig
 from mgtnet.layers import ConfigurationError
 from mgtnet.linalg import Tape, Tensor
 from mgtnet.model import (
@@ -386,6 +388,27 @@ def test_checkpoint_round_trip(saved):
         np.testing.assert_array_equal(pa.data, pb.data, err_msg=na)
     x = np.random.default_rng(12).standard_normal((17, 2, 3))
     np.testing.assert_array_equal(net.forward(x).data, restored.forward(x).data)
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, digest",
+    (
+        ("toy", {}, "2da26a7afe88b274"),
+        ("toy", {"gconv_mode": "highorder"}, "2da26a7afe88b274"),
+        ("toy", {"use_dcl": False}, "2d068b7bcc7cd86c"),
+        ("toy", {"max_hop": 0}, "cf68825c8d964f8b"),
+        ("gt-ablation", {}, "3f5bcf34d2a456ea"),
+    ),
+    ids=("toy", "toy-highorder", "toy-no-dcl", "toy-0-hop", "gt-ablation"),
+)
+def test_checkpoint_layout_is_pinned(preset, overrides, digest):
+    # v1 checkpoints store each parameter by name and shape, in this order:
+    # a rename or reshape stops old files from loading, and a reordering
+    # changes the bytes new files are written with
+    config = dataclasses.replace(RunConfig(**PRESETS[preset]).model_config(17), **overrides)
+    net = MgtNet(config, human36m_skeleton(), seed=0)
+    layout = repr([(name, tuple(p.shape)) for name, p in net.parameters()])
+    assert hashlib.sha256(layout.encode()).hexdigest()[:16] == digest
 
 
 def test_checkpoint_default_extra_is_empty_dict(tmp_path):

@@ -204,13 +204,13 @@ def test_normalize_adjacency_errors():
 
 def test_disentangled_adjacencies_stack():
     g = human36m_skeleton()
-    ds = disentangled_adjacencies(g, 2)
-    assert ds.max_hop == 2
-    assert len(ds.raw) == 3 and len(ds.normalized) == 3
-    np.testing.assert_array_equal(ds.raw[0], np.eye(17))
-    np.testing.assert_allclose(ds.normalized[0], np.eye(17))
-    for raw, norm in zip(ds.raw, ds.normalized):
-        np.testing.assert_allclose(norm, normalize_adjacency(raw))
+    normalized = disentangled_adjacencies(g, 2)
+    assert len(normalized) == 3
+    hops = hop_distances(g)
+    np.testing.assert_array_equal(k_adjacency(hops, 0), np.eye(17))
+    np.testing.assert_allclose(normalized[0], np.eye(17))
+    for k, norm in enumerate(normalized):
+        np.testing.assert_allclose(norm, normalize_adjacency(k_adjacency(hops, k)))
     with pytest.raises(SkeletonError):
         disentangled_adjacencies(g, -1)
 

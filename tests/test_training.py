@@ -271,20 +271,46 @@ def test_amsgrad_second_moment_overflow_leaves_state_untouched():
 def test_amsgrad_steps_when_only_the_overflow_bound_overflows():
     # the largest second moment (in a) plus the largest gradient's term (in
     # b) overflows, but no single element's sum does: the check pass must
-    # find no overflow and let the step go through
+    # find no overflow and let the step go through.  This late in training
+    # 1 - 0.999**t rounds to 1, so the bias correction leaves v as it is.
     a = Tensor(np.zeros(3), requires_grad=True)
     b = Tensor(np.zeros(3), requires_grad=True)
     opt = AmsGrad([("a", a), ("b", b)])
-    with np.errstate(over="ignore"):  # v / (1 - beta2**t) is past the float64 range
-        a.grad = np.array([3.8e155, 0.0, 1.0])
-        b.grad = np.ones(3)
+    opt.steps = 100_000
+    big = ((1.0 - 0.999) * 3.8e155) * 3.8e155
+    opt.v["a"][0] = big
+    a.grad = np.zeros(3)
+    b.grad = np.array([1.0, 3.8e155, 1.0])
+    opt.step(0.1)
+    assert opt.steps == 100_001
+    assert opt.v["a"][0] == big * 0.999
+    assert opt.v["b"][1] == big
+    assert opt.v_max["b"][1] == big
+
+
+def test_amsgrad_bias_corrected_overflow_leaves_state_untouched():
+    # on the first step the second moment (1 - 0.999) * g * g is finite, but
+    # its bias-corrected value, divided by 1 - 0.999 once more, is not
+    rng = np.random.default_rng(9)
+    a = Tensor(rng.standard_normal(3), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    opt = AmsGrad([("a", a), ("b", b)])
+
+    def state():
+        return [
+            x.copy()
+            for name, p in (("a", a), ("b", b))
+            for x in (p.data, opt.m[name], opt.v[name], opt.v_max[name])
+        ]
+
+    before = state()
+    a.grad = np.array([1.0, 3.8e155, 1.0])
+    b.grad = np.ones(3)
+    with pytest.raises(DivergenceError, match="second-moment overflow in parameter 'a'"):
         opt.step(0.1)
-        a.grad = np.zeros(3)
-        b.grad = np.array([1.0, 3.8e155, 1.0])
-        opt.step(0.1)
-    assert opt.steps == 2
-    assert opt.v["a"][0] == (0.0 + ((1.0 - 0.999) * 3.8e155) * 3.8e155) * 0.999
-    assert opt.v["b"][1] == 1e-3 * 0.999 + ((1.0 - 0.999) * 3.8e155) * 3.8e155
+    assert opt.steps == 0
+    for old, new in zip(before, state()):
+        np.testing.assert_array_equal(old, new)
 
 
 def test_amsgrad_rejects_a_rebound_parameter():
