@@ -267,19 +267,16 @@ def save_checkpoint(path, net: MgtNet, extra: dict | None = None) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     params = net.parameters()
-    chunks = [_CKPT_MAGIC, struct.pack("<I", _CKPT_VERSION)]
-    chunks.append(struct.pack("<I", len(blob)))
-    chunks.append(blob)
-    chunks.append(struct.pack("<I", len(params)))
-    for name, tensor in params:
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", tensor.ndim))
-        chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-        chunks.append(tensor.data.astype("<f8").tobytes())
+    # each parameter's buffer goes to the file as it is, with no bytes copy
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[MgtNet, dict]:

@@ -761,22 +761,81 @@ def test_fused_layer_shape_errors():
         la.self_attention(h, [w], [w], [w], np.zeros((8, 8)), 1.0)
 
 
-def test_dilated_conv2d_forward_is_the_per_tap_sum_bit_for_bit():
-    # the forward sums a block of grids at a time through one scratch block;
-    # that is the full-size per-tap sum below, whatever the block boundaries
+def conv_on_tape(x, kernel, dilation, g):
+    """``dilated_conv2d`` forward, and its input and kernel gradients for output gradient ``g``."""
+    x, kernel = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+    with Tape() as tape:
+        out = la.dilated_conv2d(x, kernel, dilation)
+        loss = la.tensor_sum(la.mul(out, Tensor(g)))
+    tape.backward(loss)
+    return out.data, x.grad, kernel.grad
+
+
+CONV_CASES = (((64, 17, 256), 3, 2), ((7, 17, 8), 3, 2), ((130, 130), 5, 3))
+
+
+def test_dilated_conv2d_is_the_per_tap_sum_within_tolerance():
+    # the per-tap sum over shifted windows of the padded grid, forward and
+    # both gradients, agrees with the banded products to 1e-12 of scale
     rng = np.random.default_rng(260)
-    for shape, taps, dilation in (((64, 17, 256), 3, 2), ((7, 17, 8), 3, 2), ((130, 130), 5, 3)):
+    for shape, taps, dilation in CONV_CASES:
         x = rng.standard_normal(shape)
         x[..., 0, 0] = -0.0
         kernel = rng.standard_normal((taps, taps))
+        g = rng.standard_normal(shape)
         rows, cols = shape[-2:]
         pad = dilation * (taps // 2)
         padded = np.zeros(shape[:-2] + (rows + 2 * pad, cols + 2 * pad))
         padded[..., pad : pad + rows, pad : pad + cols] = x
         expected = np.zeros(shape)
+        d_padded = np.zeros_like(padded)
+        d_kernel = np.zeros((taps, taps))
         for r in range(taps):
             for s in range(taps):
-                rs = slice(dilation * r, dilation * r + rows)
-                cs = slice(dilation * s, dilation * s + cols)
-                expected += kernel[r, s] * padded[..., rs, cs]
-        assert_bits_equal(la.dilated_conv2d(x, kernel, dilation).data, expected, str(shape))
+                window = np.s_[..., dilation * r : dilation * r + rows, dilation * s : dilation * s + cols]
+                expected += kernel[r, s] * padded[window]
+                d_padded[window] += kernel[r, s] * g
+                d_kernel[r, s] = np.sum(g * padded[window])
+        out, d_x, d_k = conv_on_tape(x, kernel, dilation, g)
+        assert out.shape == d_x.shape == shape and d_k.shape == (taps, taps)
+        assert_close_at_scale(out, expected, f"forward {shape}")
+        assert_close_at_scale(d_x, d_padded[..., pad : pad + rows, pad : pad + cols], f"input {shape}")
+        assert_close_at_scale(d_k, d_kernel, f"kernel {shape}")
+
+
+def test_dilated_conv2d_is_the_band_times_the_column_stack_bit_for_bit():
+    rng = np.random.default_rng(261)
+    for shape, taps, dilation in CONV_CASES + (((5, 2, 3), 3, 3), ((4, 17, 8), 1, 2)):
+        x = rng.standard_normal(shape)
+        kernel = rng.standard_normal((taps, taps))
+        g = rng.standard_normal(shape)
+        rows, cols = shape[-2:]
+        grids, g3 = x.reshape(-1, rows, cols), g.reshape(-1, rows, cols)
+        shifts = [dilation * (t - taps // 2) for t in range(taps)]
+        # block s of the band mixes rows, block s of the stack shifts columns
+        band = np.concatenate(
+            [sum(kernel[r, s] * np.eye(rows, k=shifts[r]) for r in range(taps)) for s in range(taps)],
+            axis=1,
+        )
+        reach = max(shifts)
+        wide = np.pad(grids, ((0, 0), (0, 0), (reach, reach)))
+        stack = np.concatenate([wide[..., reach + d : reach + d + cols] for d in shifts], axis=1)
+        d_stack = np.matmul(band.T, g3)
+        d_x = np.zeros(grids.shape)
+        d_kernel = np.zeros((taps, taps))
+        for s, d in enumerate(shifts):
+            # output columns lo:hi read input columns lo + d : hi + d
+            lo, hi = max(0, -d), min(cols, cols - d)
+            if lo >= hi:
+                continue
+            d_x[..., lo + d : hi + d] += d_stack[:, s * rows : (s + 1) * rows, lo:hi]
+            block = np.matmul(g3[..., lo:hi], grids[..., lo + d : hi + d].transpose(0, 2, 1)).sum(axis=0)
+            for r in range(taps):
+                acc = 0.0
+                for i in range(max(0, -shifts[r]), min(rows, rows - shifts[r])):
+                    acc += block[i, i + shifts[r]]
+                d_kernel[r, s] = acc
+        out, d_a, d_k = conv_on_tape(x, kernel, dilation, g)
+        assert_bits_equal(out, np.matmul(band, stack).reshape(shape), f"forward {shape}")
+        assert_bits_equal(d_a, d_x.reshape(shape), f"input {shape}")
+        assert_bits_equal(d_k, d_kernel, f"kernel {shape}")

@@ -1,6 +1,7 @@
 """Network assembly: config checks, wiring, parameter layout, checkpoints."""
 import dataclasses
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -17,7 +18,7 @@ from mgtnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from mgtnet.skeleton import human36m_skeleton
+from mgtnet.skeleton import human36m_skeleton, skeleton_to_document
 from mgtnet.training import AmsGrad, elastic_loss
 from test_linalg import (
     assert_bits_equal,
@@ -409,6 +410,37 @@ def test_checkpoint_layout_is_pinned(preset, overrides, digest):
     net = MgtNet(config, human36m_skeleton(), seed=0)
     layout = repr([(name, tuple(p.shape)) for name, p in net.parameters()])
     assert hashlib.sha256(layout.encode()).hexdigest()[:16] == digest
+
+
+def joined_v1_encoding(net, extra):
+    """Checkpoint v1 bytes built as one joined blob of per-tensor ``tobytes`` copies."""
+    header = {
+        "model": dataclasses.asdict(net.config),
+        "skeleton": json.loads(skeleton_to_document(net.graph)),
+        "extra": extra,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    params = net.parameters()
+    chunks = [b"MGTC", struct.pack("<I", 1), struct.pack("<I", len(blob)), blob]
+    chunks.append(struct.pack("<I", len(params)))
+    for name, tensor in params:
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", tensor.ndim)]
+        chunks.append(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+        chunks.append(tensor.data.astype("<f8").tobytes())
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("preset", ("toy", "gt-ablation"))
+def test_checkpoint_file_is_the_joined_v1_encoding(tmp_path, preset):
+    # parameters adopted by the optimizer are views of its flat buffer, as
+    # they are when a trained net is saved
+    net = MgtNet(RunConfig(**PRESETS[preset]).model_config(17), human36m_skeleton(), seed=3)
+    AmsGrad(net.parameters())
+    extra = {"note": preset, "stats": [0.5, -1.25]}
+    path = tmp_path / "net.mgtc"
+    save_checkpoint(path, net, extra=extra)
+    assert path.read_bytes() == joined_v1_encoding(net, extra)
 
 
 def test_checkpoint_default_extra_is_empty_dict(tmp_path):
