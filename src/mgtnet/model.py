@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,33 +172,81 @@ class MultiHopConvBlock:
         return named
 
 
+class _DeferredDraws:
+    """Stands in for a net's Generator while its layers are built.
+
+    Each ``uniform`` call returns a placeholder of the asked shape that holds
+    no memory, and queues the draw.  ``MgtNet._build`` then replays the
+    queue, in order, into the parameters' views of the net's flat buffer.
+    """
+
+    def __init__(self):
+        self.queue = []
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        placeholder = np.broadcast_to(np.float64(0.0), size)
+        self.queue.append((placeholder, low, high))
+        return placeholder
+
+
 class MgtNet:
     """Full 2D-to-3D pose lifting network over a fixed skeleton graph.
 
     Construction is deterministic in (config, graph, seed).  ``forward`` with
-    ``train=False`` consumes no randomness.
+    ``train=False`` consumes no randomness.  Every parameter's ``data`` is a
+    view of one contiguous float64 buffer, laid out in ``parameters()`` order.
     """
 
     def __init__(self, config: ModelConfig, graph: SkeletonGraph, seed: int = 0):
+        self._build(config, graph, np.random.default_rng(seed))
+
+    def _build(self, config: ModelConfig, graph: SkeletonGraph, rng: np.random.Generator | None):
+        """Build the layers, then make every parameter a view of one new flat buffer.
+
+        The layers draw through a ``_DeferredDraws``.  With ``rng``, the buffer
+        then gets the values they asked for: their constants are copied in,
+        and the queued draws are replayed in the order the layers made them,
+        as ``Generator.uniform`` computes them, ``low + (high - low) * u``.
+        Without it, the buffer is left unfilled for ``load_checkpoint``.
+        """
         if graph.n_joints != config.n_joints:
             raise ConfigurationError(
                 f"config says {config.n_joints} joints but skeleton has {graph.n_joints}"
             )
         self.config = config
         self.graph = graph
-        rng = np.random.default_rng(seed)
+        draws = _DeferredDraws()
         graph_mats = {
             "disentangled": disentangled_adjacencies(graph, config.max_hop),
             "one_hop": normalize_adjacency(graph.adjacency() + np.eye(graph.n_joints)),
         }
         in_width = 2 * config.frames
-        self.embedding = _make_gconv(config, graph_mats, in_width, config.hidden, rng, relu=True)
+        self.embedding = _make_gconv(config, graph_mats, in_width, config.hidden, draws, relu=True)
         self.blocks = []
         for _ in range(config.depth):
-            attn = GraphAttentionBlock(config, graph_mats, rng)
-            conv = MultiHopConvBlock(config, graph_mats, rng)
+            attn = GraphAttentionBlock(config, graph_mats, draws)
+            conv = MultiHopConvBlock(config, graph_mats, draws)
             self.blocks.append((attn, conv))
-        self.head = _make_gconv(config, graph_mats, config.hidden, 3, rng, relu=False)
+        self.head = _make_gconv(config, graph_mats, config.hidden, 3, draws, relu=False)
+
+        params = [t for _, t in self.parameters()]
+        flat = np.empty(sum(t.size for t in params))
+        drawn = {id(placeholder): None for placeholder, _, _ in draws.queue}
+        start = 0
+        for t in params:
+            view = flat[start : start + t.size].reshape(t.shape)
+            start += t.size
+            if id(t.data) in drawn:
+                drawn[id(t.data)] = view
+            elif rng is not None:
+                view[...] = t.data
+            t.data = view
+        if rng is not None:
+            for placeholder, low, high in draws.queue:
+                view = drawn[id(placeholder)]
+                rng.random(out=view)
+                np.multiply(view, high - low, out=view)
+                np.add(view, low, out=view)
 
     def forward(self, sample, train: bool = False, rng=None) -> Tensor:
         """Lift one sample (N, 2, T) to an (N, 3) pose, or a batch (B, N, 2, T) to (B, N, 3).
@@ -259,6 +309,9 @@ def save_checkpoint(path, net: MgtNet, extra: dict | None = None) -> None:
     """Write config, skeleton, and parameters to a versioned binary file.
 
     ``extra`` rides along in the config block; values must be JSON-encodable.
+    The file is written under a temporary name in the target's directory and
+    then moved into place, so a write that fails leaves any previous file as
+    it was.
     """
     header = {
         "model": dataclasses.asdict(net.config),
@@ -267,72 +320,94 @@ def save_checkpoint(path, net: MgtNet, extra: dict | None = None) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     params = net.parameters()
-    # each parameter's buffer goes to the file as it is, with no bytes copy
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(params)))
-        for name, tensor in params:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)) + encoded)
-            fh.write(struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
-            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        # each parameter's buffer goes to the file as it is, with no bytes copy
+        with open(tmp, "xb") as fh:
+            fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)))
+            fh.write(blob)
+            fh.write(struct.pack("<I", len(params)))
+            for name, tensor in params:
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(encoded)) + encoded)
+                fh.write(struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
+                fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path) -> tuple[MgtNet, dict]:
-    """Rebuild a network from a checkpoint; returns (net, extra block)."""
+    """Rebuild a network from a checkpoint; returns (net, extra block).
+
+    The net is built with no init drawn, and each parameter's payload is read
+    straight into its view of the net's flat buffer.  Every length the file
+    claims is checked against the bytes left in it before anything is read or
+    allocated for it.
+    """
     with open(path, "rb") as fh:
-        buf = fh.read()
-    pos = 0
+        left = os.fstat(fh.fileno()).st_size
 
-    def take(count: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + count > len(buf):
-            raise CheckpointError(f"unexpected end of checkpoint while reading {what}")
-        piece = buf[pos : pos + count]
-        pos += count
-        return piece
+        def short(what: str) -> CheckpointError:
+            return CheckpointError(f"unexpected end of checkpoint while reading {what}")
 
-    if take(4, "magic") != _CKPT_MAGIC:
-        raise CheckpointError("bad magic bytes: not a checkpoint file")
-    version = struct.unpack("<I", take(4, "version"))[0]
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    header_len = struct.unpack("<I", take(4, "header length"))[0]
-    try:
-        header = json.loads(take(header_len, "header").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"checkpoint header is corrupt: {exc}") from None
-    try:
-        config = ModelConfig(**header["model"])
-        graph = skeleton_from_document(json.dumps(header["skeleton"]))
-        extra = header["extra"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint header is inconsistent: {exc}") from None
+        def take(count: int, what: str) -> bytes:
+            nonlocal left
+            piece = fh.read(count) if count <= left else b""
+            if len(piece) != count:
+                raise short(what)
+            left -= count
+            return piece
 
-    net = MgtNet(config, graph, seed=0)
-    expected = dict(net.parameters())
-    n_params = struct.unpack("<I", take(4, "parameter count"))[0]
-    seen = set()
-    for _ in range(n_params):
-        name_len = struct.unpack("<I", take(4, "name length"))[0]
-        name = take(name_len, "parameter name").decode("utf-8")
-        ndim = struct.unpack("<I", take(4, f"rank of {name}"))[0]
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
-        if name not in expected:
-            raise CheckpointError(f"checkpoint has unknown parameter {name!r}")
-        if name in seen:
-            raise CheckpointError(f"checkpoint repeats parameter {name!r}")
-        target = expected[name]
-        if tuple(shape) != target.shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {tuple(shape)}, expected {target.shape}"
-            )
-        raw = take(8 * target.size, f"data of {name}")
-        target.data = np.frombuffer(raw, dtype="<f8").reshape(target.shape).astype(np.float64)
-        seen.add(name)
-    if pos != len(buf):
-        raise CheckpointError(f"trailing data after last parameter at byte offset {pos}")
+        def read_into(array: np.ndarray, what: str) -> None:
+            nonlocal left
+            if array.nbytes > left or fh.readinto(array) != array.nbytes:
+                raise short(what)
+            left -= array.nbytes
+
+        if take(4, "magic") != _CKPT_MAGIC:
+            raise CheckpointError("bad magic bytes: not a checkpoint file")
+        version = struct.unpack("<I", take(4, "version"))[0]
+        if version != _CKPT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        header_len = struct.unpack("<I", take(4, "header length"))[0]
+        try:
+            header = json.loads(take(header_len, "header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"checkpoint header is corrupt: {exc}") from None
+        try:
+            config = ModelConfig(**header["model"])
+            graph = skeleton_from_document(json.dumps(header["skeleton"]))
+            extra = header["extra"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint header is inconsistent: {exc}") from None
+
+        net = MgtNet.__new__(MgtNet)
+        net._build(config, graph, None)
+        expected = dict(net.parameters())
+        n_params = struct.unpack("<I", take(4, "parameter count"))[0]
+        seen = set()
+        for _ in range(n_params):
+            name_len = struct.unpack("<I", take(4, "name length"))[0]
+            name = take(name_len, "parameter name").decode("utf-8")
+            ndim = struct.unpack("<I", take(4, f"rank of {name}"))[0]
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
+            if name not in expected:
+                raise CheckpointError(f"checkpoint has unknown parameter {name!r}")
+            if name in seen:
+                raise CheckpointError(f"checkpoint repeats parameter {name!r}")
+            target = expected[name]
+            if tuple(shape) != target.shape:
+                raise CheckpointError(
+                    f"parameter {name!r} has shape {tuple(shape)}, expected {target.shape}"
+                )
+            read_into(target.data, f"data of {name}")
+            if sys.byteorder == "big":
+                target.data.byteswap(inplace=True)
+            seen.add(name)
+        if left:
+            raise CheckpointError(f"trailing data after last parameter at byte offset {fh.tell()}")
     missing = set(expected) - seen
     if missing:
         raise CheckpointError(f"checkpoint is missing parameters: {sorted(missing)[:3]}")

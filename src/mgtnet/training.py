@@ -119,13 +119,35 @@ def elastic_loss(pred, target, alpha: float, mode: str = "pose_sum") -> Tensor:
     )
 
 
+def _shared_buffer(arrays, total: int) -> np.ndarray | None:
+    """The ``total`` values of one float64 buffer that hold ``arrays`` back to back, or None."""
+    base = arrays[0].base
+    if (
+        base is None
+        or base.dtype != np.float64
+        or base.ndim != 1
+        or not (base.flags.c_contiguous and base.flags.writeable)
+    ):
+        return None
+    start = arrays[0].ctypes.data
+    end = start
+    for a in arrays:
+        if a.base is not base or not a.flags.c_contiguous or a.ctypes.data != end:
+            return None
+        end += a.nbytes
+    first = (start - base.ctypes.data) // base.itemsize
+    return base[first : first + total]
+
+
 class AmsGrad:
     """AMSGrad: Adam with a nondecreasing second-moment cap, bias-corrected.
 
-    The constructor copies every parameter into one contiguous float64
-    buffer and rebinds each ``p.data`` to its view of that buffer; ``m``,
-    ``v`` and ``v_max`` are flat buffers of the same length, and
-    ``m[name]``, ``v[name]`` and ``v_max[name]`` are views into them.
+    The parameters live in one contiguous float64 buffer.  When they already
+    lie there back to back, in order, as an ``MgtNet``'s do, the constructor
+    adopts that buffer as it is; otherwise it copies them into a new one and
+    rebinds each ``p.data`` to its view.  ``m``, ``v`` and ``v_max`` are
+    flat buffers of the same length, and ``m[name]``, ``v[name]`` and
+    ``v_max[name]`` are views into them.
     ``step`` gathers the gradients into one more buffer, so a non-finite
     gradient raises before any state moves.  It then updates in place,
     ``BLOCK`` values at a time through two scratch blocks that stay in
@@ -152,15 +174,18 @@ class AmsGrad:
         self.steps = 0
         self._offsets = np.cumsum([0] + [p.size for _, p in self.params])
         total = int(self._offsets[-1])
-        self._flat = np.concatenate([p.data for _, p in self.params], axis=None)
+        self._views = [p.data for _, p in self.params]
+        self._flat = _shared_buffer(self._views, total)
+        if self._flat is None:
+            self._flat = np.concatenate(self._views, axis=None)
+            for (_, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:]):
+                p.data = self._flat[a:b].reshape(p.shape)
+            self._views = [p.data for _, p in self.params]
         # one allocation, so that the first step faults in fresh pages of one
         # mapping rather than of four
         self._grad, self._m, self._v, self._v_max = np.zeros((4, total))
-        self._views = []
         self.m, self.v, self.v_max = {}, {}, {}
         for (name, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:]):
-            p.data = self._flat[a:b].reshape(p.shape)
-            self._views.append(p.data)
             self.m[name] = self._m[a:b].reshape(p.shape)
             self.v[name] = self._v[a:b].reshape(p.shape)
             self.v_max[name] = self._v_max[a:b].reshape(p.shape)

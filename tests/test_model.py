@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +217,47 @@ def test_param_count_frozen_values():
 def test_param_count_matches_parameter_list():
     net = toy_net()
     assert net.param_count() == sum(t.size for _, t in net.parameters())
+
+
+def assert_one_flat_buffer(net):
+    """Each parameter is a view, in ``parameters()`` order, of one contiguous float64 buffer."""
+    arrays = [p.data for _, p in net.parameters()]
+    base = arrays[0].base
+    assert base is not None and base.dtype == np.float64 and base.ndim == 1
+    assert base.flags.c_contiguous and base.size == net.param_count()
+    offset = 0
+    for a in arrays:
+        assert a.base is base and a.flags.c_contiguous
+        assert a.ctypes.data == base.ctypes.data + offset * base.itemsize
+        offset += a.size
+    return base
+
+
+def parameter_digest(net):
+    digest = hashlib.sha256()
+    for name, p in net.parameters():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "preset, overrides, seed, digest",
+    (
+        ("toy", {}, 0, "d8dd228d9c8c3a92"),
+        ("toy", {"gconv_mode": "highorder"}, 5, "ea3e9f325d1f5e61"),
+        ("toy", {"use_dcl": False}, 0, "f057123620a21a7d"),
+        ("gt-ablation", {}, 0, "a4316c5c10917b14"),
+    ),
+    ids=("toy", "toy-highorder", "toy-no-dcl", "gt-ablation"),
+)
+def test_init_is_pinned_and_lies_in_one_flat_buffer(preset, overrides, seed, digest):
+    # the net draws each parameter into its view of the flat buffer, with the
+    # values and in the order of one Generator.uniform call per parameter
+    config = dataclasses.replace(RunConfig(**PRESETS[preset]).model_config(17), **overrides)
+    net = MgtNet(config, human36m_skeleton(), seed=seed)
+    assert_one_flat_buffer(net)
+    assert parameter_digest(net) == digest
 
 
 def test_frames_only_scale_embedding():
@@ -533,3 +576,87 @@ def test_checkpoint_missing_parameter(saved):
     path.write_bytes(bytes(buf[:-record]))
     with pytest.raises(CheckpointError, match="missing parameters"):
         load_checkpoint(path)
+
+
+def payload_offset(path, name):
+    """Byte offset of ``name``'s float64 payload in a checkpoint file."""
+    buf = path.read_bytes()
+    encoded = name.encode()
+    at = buf.index(struct.pack("<I", len(encoded)) + encoded) + 4 + len(encoded)
+    ndim = struct.unpack_from("<I", buf, at)[0]
+    return at + 4 + 4 * ndim
+
+
+def test_checkpoint_truncated_inside_a_payload(saved):
+    _, path = saved
+    cut = payload_offset(path, "embed.w0") + 20
+    corrupt_bytes(path, lambda b: bytes(b[:cut]))
+    with pytest.raises(CheckpointError, match="unexpected end .* data of embed.w0"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_huge_header_length_allocates_nothing(tmp_path):
+    # a length the file cannot hold is refused before any read allocates it
+    path = tmp_path / "lying.mgtc"
+    path.write_bytes(b"MGTC" + struct.pack("<II", 1, 0xFFFFFFFF) + b"{}" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="unexpected end .* header"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_loaded_parameters_are_views_of_one_flat_buffer(saved):
+    net, path = saved
+    restored, _ = load_checkpoint(path)
+    assert_one_flat_buffer(restored)
+    assert parameter_digest(restored) == parameter_digest(net)
+
+
+def test_checkpoint_load_draws_no_init(saved, monkeypatch):
+    net, path = saved
+
+    def no_draws(*_args, **_kwargs):
+        raise AssertionError("an init was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(AssertionError, match="an init was drawn"):
+        toy_net()
+    restored, _ = load_checkpoint(path)
+    assert parameter_digest(restored) == parameter_digest(net)
+
+
+def test_checkpoint_load_swaps_bytes_on_a_big_endian_host(saved, monkeypatch):
+    # the file is little-endian; a big-endian host must swap what it reads
+    net, path = saved
+    monkeypatch.setattr(sys, "byteorder", "big")
+    restored, _ = load_checkpoint(path)
+    for (name, want), (_, got) in zip(net.parameters(), restored.parameters()):
+        assert got.data.tobytes() == want.data.byteswap().tobytes(), name
+
+
+def test_gt_ablation_checkpoint_round_trip_is_byte_exact(tmp_path):
+    config = RunConfig(**PRESETS["gt-ablation"]).model_config(17)
+    net = MgtNet(config, human36m_skeleton(), seed=4)
+    path = tmp_path / "gt.mgtc"
+    save_checkpoint(path, net)
+    restored, _ = load_checkpoint(path)
+    assert_one_flat_buffer(restored).tobytes() == assert_one_flat_buffer(net).tobytes()
+    x = np.random.default_rng(5).standard_normal((2, 17, 2, config.frames))
+    assert restored.forward(x).data.tobytes() == net.forward(x).data.tobytes()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(saved):
+    _, path = saved
+    before = path.read_bytes()
+    broken = toy_net(seed=2)
+    # the last parameter cannot be encoded, so the write fails after the
+    # header and every other parameter have gone to the file
+    broken.parameters()[-1][1].data = np.array(["not a number"] * 3)
+    with pytest.raises(ValueError):
+        save_checkpoint(path, broken)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]

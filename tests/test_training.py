@@ -1,5 +1,6 @@
 """Loss properties, learning-rate schedule, optimizer oracle, training loop."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 import mgtnet.linalg as la
 from mgtnet.data import synthesize
 from mgtnet.linalg import Tape, Tensor
-from mgtnet.model import MgtNet, ModelConfig, load_checkpoint
+from mgtnet.model import MgtNet, ModelConfig, load_checkpoint, save_checkpoint
 from mgtnet.skeleton import human36m_skeleton
 from mgtnet.training import (
     BLOCK,
@@ -22,6 +23,7 @@ from mgtnet.training import (
     predict_dataset,
     train,
 )
+from test_model import assert_one_flat_buffer
 
 
 def toy_model(seed=0):
@@ -368,6 +370,52 @@ def test_amsgrad_flat_blocked_update_equals_the_per_tensor_update():
         np.testing.assert_array_equal(opt.m[name], ref_m[name])
         np.testing.assert_array_equal(opt.v[name], ref_v[name])
         np.testing.assert_array_equal(opt.v_max[name], ref_v_max[name])
+
+
+@pytest.mark.parametrize("source", ("built", "loaded"))
+def test_amsgrad_adopts_the_net_buffer(tmp_path, source):
+    config = ModelConfig(n_joints=17, frames=9, hidden=32, depth=2, heads=2, dropout=0.0)
+    net = MgtNet(config, human36m_skeleton(), seed=1)
+    if source == "loaded":
+        save_checkpoint(tmp_path / "net.mgtc", net)
+        net, _ = load_checkpoint(tmp_path / "net.mgtc")
+    buffer = assert_one_flat_buffer(net)
+    arrays = [p.data for _, p in net.parameters()]
+    tracemalloc.start()
+    try:
+        opt = AmsGrad(net.parameters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(opt._flat, buffer) and opt._flat.size == buffer.size
+    assert all(p.data is a for (_, p), a in zip(net.parameters(), arrays))
+    # the gradient, the three moments and two scratch blocks, with no buffer
+    # for a copy of the parameters
+    scratch = 2 * min(BLOCK, buffer.size) * buffer.itemsize
+    assert peak - 4 * buffer.nbytes - scratch < buffer.nbytes / 2
+
+
+def test_amsgrad_steps_on_an_adopted_buffer_equal_the_copy_path(tmp_path):
+    net = toy_model(seed=6)
+    save_checkpoint(tmp_path / "net.mgtc", net)
+    nets = [load_checkpoint(tmp_path / "net.mgtc")[0] for _ in range(2)]
+    for _, p in nets[1].parameters():
+        p.data = p.data.copy()  # separate arrays, so the optimizer copies them
+    opts = [AmsGrad(n.parameters()) for n in nets]
+    assert np.shares_memory(opts[0]._flat, assert_one_flat_buffer(nets[0]))
+    assert nets[1].parameters()[0][1].data.base is opts[1]._flat
+    x = np.random.default_rng(7).standard_normal((4, 17, 2, 3))
+    y = np.random.default_rng(8).standard_normal((4, 17, 3))
+    for step in range(5):
+        for n, opt in zip(nets, opts):
+            la.zero_grads(n.parameters())
+            with Tape() as tape:
+                loss = elastic_loss(n.forward(Tensor(x)), y, 0.3)
+            tape.backward(loss)
+            opt.step(0.01 * 0.9**step)
+    assert opts[0]._flat.tobytes() == opts[1]._flat.tobytes()
+    for buf in ("_m", "_v", "_v_max"):
+        assert getattr(opts[0], buf).tobytes() == getattr(opts[1], buf).tobytes()
 
 
 def test_amsgrad_state_tracks_parameters():
