@@ -22,6 +22,7 @@ import numpy as np
 from . import linalg as la
 from .data import (
     DataFormatError,
+    atomic_write,
     load_dataset,
     save_dataset,
     synthesize,
@@ -222,8 +223,9 @@ def cmd_train(args) -> int:
     log.info("training %d parameters on %d samples", net.param_count(), len(dataset))
     history = train(net, dataset, rc.train_config(), checkpoint_path=out_dir / "checkpoint.mgtc")
     csv_text = history_csv(history)
-    (out_dir / "history.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / "config.txt").write_text(run_config_text(rc, args.preset), encoding="utf-8")
+    for name, text in (("history.csv", csv_text), ("config.txt", run_config_text(rc, args.preset))):
+        with atomic_write(out_dir / name) as fh:
+            fh.write(text.encode("utf-8"))
     last = history[-1]
     human = (
         f"trained {net.param_count()} parameters for {rc.epochs} epochs on {len(dataset)} samples\n"
@@ -392,7 +394,8 @@ def cmd_ablate(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
+        with atomic_write(out_dir / "ablation.csv") as fh:
+            fh.write(csv_text.encode("utf-8"))
     _emit("\n".join(human_lines) + "\n", csv_text, args.csv)
     return EXIT_OK
 

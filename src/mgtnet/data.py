@@ -17,7 +17,9 @@ root-centered on load, which is idempotent for files written by
 from __future__ import annotations
 
 import logging
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +33,7 @@ __all__ = [
     "PoseDataset",
     "Standardizer",
     "synthesize",
+    "atomic_write",
     "save_dataset",
     "load_dataset",
     "compute_standardizer",
@@ -245,8 +248,26 @@ def synthesize(
 # binary serialization
 
 
+@contextmanager
+def atomic_write(path):
+    """Open a binary file to write in place of ``path``, moved onto it when the block ends.
+
+    The file is written under a temporary name in the target's directory and
+    then renamed with ``os.replace``, so a block that raises leaves any
+    previous file at ``path`` as it was, and no temporary file behind.
+    """
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_dataset(dataset: PoseDataset, path) -> None:
-    """Write the dataset in the binary pose format (quantizing to f32)."""
+    """Write the dataset in the binary pose format (quantizing to f32), atomically."""
     skeleton_doc = skeleton_to_document(dataset.skeleton).encode("utf-8")
     unit = dataset.unit.encode("utf-8")
     chunks = [
@@ -264,7 +285,7 @@ def save_dataset(dataset: PoseDataset, path) -> None:
     for k, action in enumerate(dataset.actions):
         label = action.encode("utf-8")
         chunks += [struct.pack("<I", len(label)), label, inputs[k].tobytes(), targets[k].tobytes()]
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(b"".join(chunks))
 
 

@@ -107,15 +107,19 @@ class Tensor:
     ``requires_grad`` marks tensors that should receive gradients.  ``grad``
     is populated by ``Tape.backward`` for every requires-grad tensor that was
     not produced on the tape being replayed (i.e. leaves such as parameters).
-    Repeated backward calls accumulate into ``grad``.
+    Repeated backward calls accumulate into ``grad``.  A leaf given a
+    ``_grad_view`` (an ``MgtNet`` parameter's view of the net's flat gradient
+    buffer) gets its gradient written there: ``grad`` is then that view, and
+    later backward calls add to it in place.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_grad_view", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._grad_view: np.ndarray | None = None
         # weak reference to the producing tape, so a tape and its outputs
         # form no reference cycle and refcounting frees a finished tape
         self._tape: "weakref.ref[Tape] | None" = None
@@ -179,7 +183,11 @@ class Tape:
         """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
         Leaves are requires-grad tensors not produced on this tape.  Calling
-        again without clearing grads adds another copy of the gradient.
+        again without clearing grads adds another copy of the gradient.  A
+        leaf's first gradient is copied into its ``_grad_view`` when it has
+        one, and later ones are added there in place; these are the IEEE
+        operations of ``grad.copy()`` and ``grad + g``, so the bits are those
+        of a leaf without a view, whose ``grad`` is a new array each time.
         """
         if loss.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -197,7 +205,14 @@ class Tape:
                     seen = pending.get(id(tensor))
                     pending[id(tensor)] = grad if seen is None else seen + grad
                 elif tensor.grad is None:
-                    tensor.grad = grad.copy()
+                    view = tensor._grad_view
+                    if view is None:
+                        tensor.grad = grad.copy()
+                    else:
+                        view[...] = grad
+                        tensor.grad = view
+                elif tensor.grad is tensor._grad_view:
+                    np.add(tensor.grad, grad, out=tensor.grad)
                 else:
                     tensor.grad = tensor.grad + grad
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
+from .data import atomic_write
 from .layers import (
     ConfigurationError,
     DilatedConvLayer,
@@ -176,7 +177,7 @@ class _DeferredDraws:
     """Stands in for a net's Generator while its layers are built.
 
     Each ``uniform`` call returns a placeholder of the asked shape that holds
-    no memory, and queues the draw.  ``MgtNet._build`` then replays the
+    no memory, and queues the draw.  ``MgtNet._allocate`` then replays the
     queue, in order, into the parameters' views of the net's flat buffer.
     """
 
@@ -194,20 +195,18 @@ class MgtNet:
 
     Construction is deterministic in (config, graph, seed).  ``forward`` with
     ``train=False`` consumes no randomness.  Every parameter's ``data`` is a
-    view of one contiguous float64 buffer, laid out in ``parameters()`` order.
+    view of one contiguous float64 buffer, laid out in ``parameters()`` order,
+    and its gradient, once a backward gives it one, a view of a second.
     """
 
     def __init__(self, config: ModelConfig, graph: SkeletonGraph, seed: int = 0):
-        self._build(config, graph, np.random.default_rng(seed))
+        self._allocate(self._build_layers(config, graph), np.random.default_rng(seed))
 
-    def _build(self, config: ModelConfig, graph: SkeletonGraph, rng: np.random.Generator | None):
-        """Build the layers, then make every parameter a view of one new flat buffer.
+    def _build_layers(self, config: ModelConfig, graph: SkeletonGraph) -> _DeferredDraws:
+        """Build the layers on a ``_DeferredDraws``, whose queued draws are returned.
 
-        The layers draw through a ``_DeferredDraws``.  With ``rng``, the buffer
-        then gets the values they asked for: their constants are copied in,
-        and the queued draws are replayed in the order the layers made them,
-        as ``Generator.uniform`` computes them, ``low + (high - low) * u``.
-        Without it, the buffer is left unfilled for ``load_checkpoint``.
+        The drawn parameters are placeholders that hold no memory, so this is
+        cheap at any size, and ``param_count`` already holds.
         """
         if graph.n_joints != config.n_joints:
             raise ConfigurationError(
@@ -228,13 +227,26 @@ class MgtNet:
             conv = MultiHopConvBlock(config, graph_mats, draws)
             self.blocks.append((attn, conv))
         self.head = _make_gconv(config, graph_mats, config.hidden, 3, draws, relu=False)
+        return draws
 
+    def _allocate(self, draws: _DeferredDraws, rng: np.random.Generator | None) -> None:
+        """Make every parameter a view of one new flat buffer, and its gradient of another.
+
+        With ``rng``, the buffer gets the values the layers asked for: their
+        constants are copied in, and the queued draws are replayed in the
+        order the layers made them, as ``Generator.uniform`` computes them,
+        ``low + (high - low) * u``.  Without it, the buffer is left unfilled
+        for ``load_checkpoint``.  The gradient buffer is never filled here:
+        ``Tape.backward`` writes each parameter's first gradient into its view.
+        """
         params = [t for _, t in self.parameters()]
-        flat = np.empty(sum(t.size for t in params))
+        total = sum(t.size for t in params)
+        flat, grads = np.empty(total), np.empty(total)
         drawn = {id(placeholder): None for placeholder, _, _ in draws.queue}
         start = 0
         for t in params:
             view = flat[start : start + t.size].reshape(t.shape)
+            t._grad_view = grads[start : start + t.size].reshape(t.shape)
             start += t.size
             if id(t.data) in drawn:
                 drawn[id(t.data)] = view
@@ -309,9 +321,8 @@ def save_checkpoint(path, net: MgtNet, extra: dict | None = None) -> None:
     """Write config, skeleton, and parameters to a versioned binary file.
 
     ``extra`` rides along in the config block; values must be JSON-encodable.
-    The file is written under a temporary name in the target's directory and
-    then moved into place, so a write that fails leaves any previous file as
-    it was.
+    The write is atomic (``atomic_write``): one that fails leaves any
+    previous file as it was.
     """
     header = {
         "model": dataclasses.asdict(net.config),
@@ -320,22 +331,16 @@ def save_checkpoint(path, net: MgtNet, extra: dict | None = None) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     params = net.parameters()
-    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
-    try:
-        # each parameter's buffer goes to the file as it is, with no bytes copy
-        with open(tmp, "xb") as fh:
-            fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", len(params)))
-            for name, tensor in params:
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(encoded)) + encoded)
-                fh.write(struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
-                fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    # each parameter's buffer goes to the file as it is, with no bytes copy
+    with atomic_write(path) as fh:
+        fh.write(_CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(params)))
+        for name, tensor in params:
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<{tensor.ndim + 1}I", tensor.ndim, *tensor.shape))
+            fh.write(np.ascontiguousarray(tensor.data, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[MgtNet, dict]:
@@ -384,8 +389,21 @@ def load_checkpoint(path) -> tuple[MgtNet, dict]:
             raise CheckpointError(f"checkpoint header is inconsistent: {exc}") from None
 
         net = MgtNet.__new__(MgtNet)
-        net._build(config, graph, None)
-        expected = dict(net.parameters())
+        draws = net._build_layers(config, graph)
+        # a header that claims more parameters than the file holds must not
+        # get the buffers for them; the error names the first parameter, in
+        # the order a save writes them, that the file cannot hold
+        params = net.parameters()
+        ends = np.cumsum([8 * t.size for _, t in params])
+        if ends[-1] > left:
+            cut = params[int(np.searchsorted(ends, left, side="right"))][0]
+            raise CheckpointError(
+                f"unexpected end of checkpoint: its config needs {ends[-1]} bytes of "
+                f"parameters, but {left} bytes follow the header, so the file ends "
+                f"before the data of {cut} does"
+            )
+        net._allocate(draws, None)
+        expected = dict(params)
         n_params = struct.unpack("<I", take(4, "parameter count"))[0]
         seen = set()
         for _ in range(n_params):

@@ -147,9 +147,12 @@ class AmsGrad:
     adopts that buffer as it is; otherwise it copies them into a new one and
     rebinds each ``p.data`` to its view.  ``m``, ``v`` and ``v_max`` are
     flat buffers of the same length, and ``m[name]``, ``v[name]`` and
-    ``v_max[name]`` are views into them.
-    ``step`` gathers the gradients into one more buffer, so a non-finite
-    gradient raises before any state moves.  It then updates in place,
+    ``v_max[name]`` are views into them.  The gradients are read from one
+    more flat buffer: the net's gradient buffer, adopted the same way, or
+    else one of the optimizer's own.  ``step`` copies into its slot every
+    gradient that ``Tape.backward`` did not already write there, and checks
+    the whole buffer, so a non-finite gradient raises before any state
+    moves.  It then updates in place,
     ``BLOCK`` values at a time through two scratch blocks that stay in
     cache.  A second moment that overflows, or whose bias-corrected value
     ``v / (1 - BETA2**t)`` does, also raises before any state moves, found
@@ -181,9 +184,19 @@ class AmsGrad:
             for (_, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:]):
                 p.data = self._flat[a:b].reshape(p.shape)
             self._views = [p.data for _, p in self.params]
+        self._grad_views = [p._grad_view for _, p in self.params]
+        self._grad = None
+        if all(g is not None for g in self._grad_views):
+            self._grad = _shared_buffer(self._grad_views, total)
+        if self._grad is None:
+            self._grad = np.empty(total)
+            self._grad_views = [
+                self._grad[a:b].reshape(p.shape)
+                for (_, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:])
+            ]
         # one allocation, so that the first step faults in fresh pages of one
-        # mapping rather than of four
-        self._grad, self._m, self._v, self._v_max = np.zeros((4, total))
+        # mapping rather than of three
+        self._m, self._v, self._v_max = np.zeros((3, total))
         self.m, self.v, self.v_max = {}, {}, {}
         for (name, p), a, b in zip(self.params, self._offsets[:-1], self._offsets[1:]):
             self.m[name] = self._m[a:b].reshape(p.shape)
@@ -217,16 +230,19 @@ class AmsGrad:
     def step(self, lr: float) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        grads = []
-        for (name, p), view in zip(self.params, self._views):
+        for (name, p), view, slot in zip(self.params, self._views, self._grad_views):
             if p.data is not view:
                 raise la.ContractError(
                     f"parameter {name!r} was rebound after the optimizer adopted it"
                 )
             if p.grad is None:
                 raise la.ContractError(f"parameter {name!r} has no gradient")
-            grads.append(p.grad)
-        np.concatenate(grads, axis=None, out=self._grad)
+            if p.grad is not slot:
+                if p.grad.shape != p.shape:
+                    raise la.ContractError(
+                        f"gradient of {name!r} has shape {p.grad.shape}, expected {p.shape}"
+                    )
+                slot[...] = p.grad
         hi, lo = self._grad.max(), self._grad.min()  # nan if any value is nan
         if not (np.isfinite(hi) and np.isfinite(lo)):
             bad = self._name_at(int(np.argmin(np.isfinite(self._grad))))
@@ -343,6 +359,8 @@ def train(
                 )
             la.zero_grads(params)
             tape.backward(loss)
+            # free the activations before the step touches the moments
+            del tape, preds, loss
             optimizer.step(lr)
             loss_total += loss_value * len(batch)
         predictions = predict_dataset(net, dataset, stats)

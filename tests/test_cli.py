@@ -1,5 +1,6 @@
 """Command-line behavior: config resolution, subcommands, exit codes."""
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mgtnet.cli import (
 from mgtnet.data import load_dataset
 from mgtnet.model import ModelConfig
 from mgtnet.training import TrainConfig
+from test_data import disk_fills_up
 
 
 def run(*argv):
@@ -156,6 +158,22 @@ def test_train_is_reproducible(tmp_path, synth_path, train_cfg, trained):
     assert run("train", "--data", synth_path, "--out", again, "--config", train_cfg) == EXIT_OK
     for name in ("checkpoint.mgtc", "history.csv"):
         assert (again / name).read_bytes() == (trained / name).read_bytes(), name
+
+
+def test_failed_history_write_keeps_the_previous_artifacts(
+    tmp_path, monkeypatch, synth_path, trained
+):
+    out = tmp_path / "run"
+    shutil.copytree(trained, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # a longer run, whose history would differ from the one on disk
+    longer = tmp_path / "longer.cfg"
+    longer.write_text("preset = toy\nepochs = 3\nbatch_size = 3\n", encoding="utf-8")
+    disk_fills_up(monkeypatch, "history.csv", room=10)
+    assert run("train", "--data", synth_path, "--out", out, "--config", longer) == EXIT_VALIDATION
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)
+    for name in ("history.csv", "config.txt"):
+        assert (out / name).read_bytes() == before[name], name
 
 
 def test_eval_reports_metrics(capsys, trained, synth_path):

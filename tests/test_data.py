@@ -1,10 +1,13 @@
 """Binary pose format round-trips, corruption diagnostics, synthesis, standardization."""
+import errno
 import logging
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import mgtnet.data
 from mgtnet.data import (
     FORMAT_VERSION,
     MAGIC,
@@ -191,6 +194,50 @@ def test_round_trip_is_byte_identical(tmp_path, small_dataset):
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.target, b.target)
         assert a.action == b.action
+
+
+class FullDisk:
+    """A file that takes ``room`` bytes and then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        taken = self.fh.write(data[: self.room])
+        self.room -= taken
+        if taken < len(data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return taken
+
+
+def disk_fills_up(monkeypatch, name, room):
+    """Make an ``atomic_write`` of a file called ``name`` fail after ``room`` bytes."""
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "x" in mode and os.path.basename(file).startswith(name + "."):
+            return FullDisk(fh, room)
+        return fh
+
+    monkeypatch.setattr(mgtnet.data, "open", fake_open, raising=False)
+
+
+def test_failed_dataset_write_keeps_the_previous_file(tmp_path, small_dataset, monkeypatch):
+    path = tmp_path / "poses.mgtp"
+    save_dataset(small_dataset, path)
+    before = path.read_bytes()
+    disk_fills_up(monkeypatch, "poses.mgtp", room=100)
+    with pytest.raises(OSError, match="No space left"):
+        save_dataset(synthesize(human36m_skeleton(), count=4, frames=3, seed=12), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["poses.mgtp"]
 
 
 def test_round_trip_preserves_actions_and_unit(tmp_path):

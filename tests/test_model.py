@@ -219,9 +219,9 @@ def test_param_count_matches_parameter_list():
     assert net.param_count() == sum(t.size for _, t in net.parameters())
 
 
-def assert_one_flat_buffer(net):
-    """Each parameter is a view, in ``parameters()`` order, of one contiguous float64 buffer."""
-    arrays = [p.data for _, p in net.parameters()]
+def assert_one_flat_buffer(net, field="data"):
+    """Each parameter's ``field`` is a view, in ``parameters()`` order, of one contiguous float64 buffer."""
+    arrays = [getattr(p, field) for _, p in net.parameters()]
     base = arrays[0].base
     assert base is not None and base.dtype == np.float64 and base.ndim == 1
     assert base.flags.c_contiguous and base.size == net.param_count()
@@ -322,7 +322,8 @@ def assert_batched_step_matches_stacked(net, batch, seed):
                 preds = la.stack([net.forward(Tensor(x), train=True) for x in inputs])
             loss = elastic_loss(preds, targets, alpha=0.3)
         tape.backward(loss)
-        sides.append((preds.data, [p.grad for _, p in params]))
+        # a net parameter's grad is a view that the next backward overwrites
+        sides.append((preds.data, [p.grad.copy() for _, p in params]))
     (out, grads), (ref_out, ref_grads) = sides
     assert_close_at_scale(out, ref_out)
     for (name, _), grad, ref in zip(params, grads, ref_grads):
@@ -356,7 +357,7 @@ def one_training_step(net, inputs, targets, seed):
         preds = net.forward(Tensor(inputs), train=True, rng=np.random.default_rng(seed))
         loss = elastic_loss(preds, targets, alpha=0.3)
     tape.backward(loss)
-    grads = [p.grad for _, p in params]
+    grads = [p.grad.copy() for _, p in params]
     AmsGrad(params).step(0.01)
     stepped = [p.data.copy() for _, p in params]
     for (_, p), data in zip(params, saved):
@@ -614,6 +615,73 @@ def test_loaded_parameters_are_views_of_one_flat_buffer(saved):
     restored, _ = load_checkpoint(path)
     assert_one_flat_buffer(restored)
     assert parameter_digest(restored) == parameter_digest(net)
+
+
+def test_checkpoint_header_claiming_a_huge_net_allocates_nothing(saved):
+    _, path = saved
+    buf = path.read_bytes()
+    header_len = struct.unpack_from("<I", buf, 8)[0]
+    header = json.loads(buf[12 : 12 + header_len])
+    header["model"]["hidden"] = 65536
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(buf[:8] + struct.pack("<I", len(blob)) + blob + buf[12 + header_len :])
+    left = len(buf) - 12 - header_len
+    # each attention block's output projection alone is 65536 x 65536 values
+    claimed = 8 * 65536 * 65536
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=rf"needs \d+ bytes .* but {left} bytes") as err:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(str(err.value).split("needs ")[1].split()[0]) > claimed
+    assert peak < claimed / 1000
+
+
+def backward_twice(net, seed):
+    """Two losses recorded on one tape, then one backward each; returns the grads after the first."""
+    rng = np.random.default_rng(seed)
+    cfg = net.config
+    with Tape() as tape:
+        losses = [
+            elastic_loss(
+                net.forward(Tensor(rng.standard_normal((3, cfg.n_joints, 2, cfg.frames)))),
+                rng.standard_normal((3, cfg.n_joints, 3)),
+                alpha=0.3,
+            )
+            for _ in range(2)
+        ]
+    tape.backward(losses[0])
+    first = [p.grad for _, p in net.parameters()]
+    tape.backward(losses[1])
+    return first
+
+
+@pytest.mark.parametrize("source", ("built", "loaded"))
+def test_gradients_are_views_of_one_flat_buffer(saved, source):
+    net, path = saved
+    if source == "loaded":
+        net, _ = load_checkpoint(path)
+    first = backward_twice(net, seed=4)
+    grads = assert_one_flat_buffer(net, "grad")
+    assert not np.shares_memory(grads, assert_one_flat_buffer(net))
+    # the second backward added to the same views in place
+    assert all(p.grad is g for (_, p), g in zip(net.parameters(), first))
+    la.zero_grads(net.parameters())
+    assert all(p.grad is None for _, p in net.parameters())
+
+
+def test_in_place_accumulation_has_the_bits_of_grad_plus_g(saved):
+    net, path = saved
+    plain, _ = load_checkpoint(path)
+    for _, p in plain.parameters():
+        p._grad_view = None  # a leaf with no buffer: grad.copy(), then grad + g
+    backward_twice(net, seed=5)
+    backward_twice(plain, seed=5)
+    for (name, a), (_, b) in zip(net.parameters(), plain.parameters()):
+        assert b.grad.base is None  # an array of its own
+        assert a.grad.tobytes() == b.grad.tobytes(), name
 
 
 def test_checkpoint_load_draws_no_init(saved, monkeypatch):

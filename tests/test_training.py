@@ -389,10 +389,23 @@ def test_amsgrad_adopts_the_net_buffer(tmp_path, source):
         tracemalloc.stop()
     assert np.shares_memory(opt._flat, buffer) and opt._flat.size == buffer.size
     assert all(p.data is a for (_, p), a in zip(net.parameters(), arrays))
-    # the gradient, the three moments and two scratch blocks, with no buffer
-    # for a copy of the parameters
+    # at most a gradient buffer, the three moments and two scratch blocks,
+    # with no buffer for a copy of the parameters
     scratch = 2 * min(BLOCK, buffer.size) * buffer.itemsize
     assert peak - 4 * buffer.nbytes - scratch < buffer.nbytes / 2
+
+
+def five_steps(nets, opts):
+    """Five training steps of each net with its optimizer, on one fixed batch."""
+    x = np.random.default_rng(7).standard_normal((4, 17, 2, 3))
+    y = np.random.default_rng(8).standard_normal((4, 17, 3))
+    for step in range(5):
+        for n, opt in zip(nets, opts):
+            la.zero_grads(n.parameters())
+            with Tape() as tape:
+                loss = elastic_loss(n.forward(Tensor(x)), y, 0.3)
+            tape.backward(loss)
+            opt.step(0.01 * 0.9**step)
 
 
 def test_amsgrad_steps_on_an_adopted_buffer_equal_the_copy_path(tmp_path):
@@ -404,18 +417,44 @@ def test_amsgrad_steps_on_an_adopted_buffer_equal_the_copy_path(tmp_path):
     opts = [AmsGrad(n.parameters()) for n in nets]
     assert np.shares_memory(opts[0]._flat, assert_one_flat_buffer(nets[0]))
     assert nets[1].parameters()[0][1].data.base is opts[1]._flat
-    x = np.random.default_rng(7).standard_normal((4, 17, 2, 3))
-    y = np.random.default_rng(8).standard_normal((4, 17, 3))
-    for step in range(5):
-        for n, opt in zip(nets, opts):
-            la.zero_grads(n.parameters())
-            with Tape() as tape:
-                loss = elastic_loss(n.forward(Tensor(x)), y, 0.3)
-            tape.backward(loss)
-            opt.step(0.01 * 0.9**step)
+    five_steps(nets, opts)
     assert opts[0]._flat.tobytes() == opts[1]._flat.tobytes()
     for buf in ("_m", "_v", "_v_max"):
         assert getattr(opts[0], buf).tobytes() == getattr(opts[1], buf).tobytes()
+
+
+def test_amsgrad_steps_on_the_net_gradient_buffer_equal_the_copy_path(tmp_path):
+    net = toy_model(seed=6)
+    save_checkpoint(tmp_path / "net.mgtc", net)
+    nets = [load_checkpoint(tmp_path / "net.mgtc")[0] for _ in range(2)]
+    for _, p in nets[1].parameters():
+        # separate arrays with no gradient buffer, so the optimizer copies the
+        # parameters and then copies each gradient into a buffer of its own
+        p.data = p.data.copy()
+        p._grad_view = None
+    opts = [AmsGrad(n.parameters()) for n in nets]
+    five_steps(nets, opts)
+    assert np.shares_memory(opts[0]._grad, assert_one_flat_buffer(nets[0], "grad"))
+    assert not any(np.shares_memory(opts[1]._grad, p.grad) for _, p in nets[1].parameters())
+    for buf in ("_flat", "_grad", "_m", "_v", "_v_max"):
+        assert getattr(opts[0], buf).tobytes() == getattr(opts[1], buf).tobytes(), buf
+
+
+def test_amsgrad_allocates_no_gradient_buffer():
+    config = ModelConfig(n_joints=17, frames=9, hidden=256, depth=1, heads=2, dropout=0.0)
+    net = MgtNet(config, human36m_skeleton(), seed=1)
+    buffer = assert_one_flat_buffer(net)
+    views = [p._grad_view for _, p in net.parameters()]
+    tracemalloc.start()
+    try:
+        opt = AmsGrad(net.parameters())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opt._grad.size == buffer.size
+    assert all(np.shares_memory(opt._grad, v) for v in views)
+    # the three moments and two scratch blocks, with no gradient buffer
+    assert peak < 3.5 * buffer.nbytes
 
 
 def test_amsgrad_state_tracks_parameters():
